@@ -1403,47 +1403,49 @@ run_start:
   // one-instruction runs with a checked boundary after each — exactly the
   // per-instruction discipline.
   if (cycles_ + d->run_cost_max >= until) n = 1;
-  // Hot-trace tier. Eligible only when the engine is about to execute the
-  // FULL run in unchecked-interior mode (n survived both clips): that is the
-  // precise condition under which the block engine itself would retire the
-  // body with no interior boundary checks, so the trace executor — which has
-  // none — lands every exit on the same boundaries by construction. The
-  // body (all slots but the last) runs as micro-ops; the final slot then
-  // dispatches through the normal per-opcode label below, keeping chain /
-  // far / halt / checked-run-boundary handling in one place.
-  if (trace_engine_enabled_ && n >= 2 && n == d->run_len) {
+  // Hot-trace tier. Every run-head visit bumps the slot's hotness; at the
+  // threshold the loop starting here is lowered once (or the head is marked
+  // untraceable). A trace is entered only where the block engine would
+  // retire its whole first iteration without one interior check: at the EIP
+  // it was lowered at, with every covered slot inside the CS limit, and with
+  // the iteration's worst case below the frontier — each member run then
+  // passes the pre-summed bound above and every internal edge passes
+  // `chain`/`run_boundary`, so the executor, which has no checks, lands every
+  // exit on the same boundaries by construction. Guard and frontier exits
+  // continue at `chain`, exactly where the block engine would be after the
+  // exit edge's branch.
+  if (trace_engine_enabled_) {
     u16 ti = d->trace;
     if (ti == kTraceNone && ++d->hot >= kTraceHotThreshold) {
-      auto lowered =
-          LowerRun(page->slots.data(), static_cast<u32>(d - page->slots.data()), d->run_len);
+      auto lowered = LowerLoop(page->slots.data(), static_cast<u32>(d - page->slots.data()),
+                               eip_, cost_);
       if (lowered != nullptr && page->traces.size() < kTraceUntraceable) {
         ti = static_cast<u16>(page->traces.size());
-        page->traces.push_back(std::move(lowered));
         ++trace_stats_.promotions;
         if (recorder_ != nullptr) {
           recorder_->Record(obs_track_, cycles_, obs::EventType::kTraceCompile,
-                            obs::EventClass::kEngine, eip_, d->run_len);
+                            obs::EventClass::kEngine, eip_, lowered->iter_insns);
         }
+        page->traces.push_back(std::move(lowered));
       } else {
         ti = kTraceUntraceable;
       }
       d->trace = ti;
     }
     if (ti < kTraceUntraceable) {
-      const TraceExit te =
-          ExecTrace(page, *page->traces[ti], gen0, until, d->run_cost_max, stop);
-      if (te == TraceExit::kStopped) PALLADIUM_BLOCK_EXIT(BlockExit::kStopped);
-      if (te == TraceExit::kYield) {
-        // The decode generation changed mid-body: a store (local or remote)
-        // invalidated the trace's page and the body exited at the boundary.
+      Trace& t = *page->traces[ti];
+      if (eip_ == t.entry_eip && limit >= t.min_limit && cycles_ + t.cost_max < until) {
+        const TraceExit te = ExecTrace(page, t, gen0, until, stop);
+        if (te == TraceExit::kChain) goto chain;
+        if (te == TraceExit::kStopped) PALLADIUM_BLOCK_EXIT(BlockExit::kStopped);
+        // The decode generation changed mid-trace: a store (local or remote)
+        // invalidated the trace's page and the trace exited at the boundary.
         if (recorder_ != nullptr) {
           recorder_->Record(obs_track_, cycles_, obs::EventType::kTraceInvalidate,
                             obs::EventClass::kEngine, eip_, 0);
         }
         goto yield;
       }
-      d += d->run_len - 1;
-      n = 1;
     }
   }
   goto *kLabels[d->dispatch];
@@ -1565,18 +1567,20 @@ inline void RepinFromDtlb(TracePin& p, DTlb& dtlb, u64 tlb_change, u32 linear) {
 
 }  // namespace
 
-// The hot-trace executor: retires one lowered run body. Every architectural
-// effect is identical to the block engine retiring the same slots — only the
-// *work* differs:
+// The hot-trace executor: retires iterations of one lowered loop until a
+// guard, the frontier, a fault or a generation change ends it. Every
+// architectural effect is identical to the block engine retiring the same
+// slots — only the *work* differs:
 //
 //  * EFLAGS are not written per instruction; the FlagsCache records the last
 //    observable producer and the flags are materialized (bit-identically,
-//    see MaterializeFlags) once, at whichever exit happens: body completion,
-//    a fault, or a generation yield.
-//  * eip/cycles/instructions are batched: each uop carries prefix sums, so
-//    an early exit reconstructs the exact per-instruction values. Dynamic
-//    cycle charges (TLB-miss penalties inside fallback accesses) accrue to
-//    cycles_ in place, which commutes with adding the base-cost sum.
+//    see MaterializeFlags) once, at whichever exit happens: a guard or
+//    frontier exit, a fault, or a generation yield.
+//  * eip/cycles/instructions are batched: each uop carries prefix sums from
+//    the iteration's start and its source slot, so any exit reconstructs
+//    the exact per-instruction values. Dynamic cycle charges (TLB-miss
+//    penalties inside fallback accesses) accrue to cycles_ in place, which
+//    commutes with adding the base-cost sum.
 //  * Memory uops try their pin first (the elided probe); any failed
 //    validation — counter mismatch, page change, permissions, dirty bit —
 //    falls back to the full MemRead/MemWrite, i.e. the oracle itself, and
@@ -1586,9 +1590,8 @@ inline void RepinFromDtlb(TracePin& p, DTlb& dtlb, u64 tlb_change, u32 linear) {
 //    generation is re-checked, exactly where the block engine re-checks it,
 //    so self-modifying stores and SMP remote invalidations exit the trace at
 //    the same instruction boundary in every engine.
-Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
-                                                       u64 gen0, u64 until,
-                                                       u32 run_cost_max, StopInfo* stop) {
+Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 until,
+                              StopInfo* stop) {
   using ES = ExecStatus;
   using ExecFn = ES (*)(Cpu&, const DecodedInsn&, ExecCtx&);
   static const ExecFn kExecFns[kNumOpcodes] = {
@@ -1610,14 +1613,14 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
 
   FlagsCache fc;  // Op::kEager — eflags_ is architecturally current at entry
   Fault fault;
-  const u32 entry_eip = eip_;
+  const u32 entry_eip = t.entry_eip;  // == eip_: RunBlock's entry condition
+  const u32 entry_slot = t.entry_slot;
   // Loop-invariant CPU state: CPL and the D-TLB switch can only change at
-  // far transfers, which are never in a body; TLB flushes are host-side and
+  // far transfers, which are never in a trace; TLB flushes are host-side and
   // the host only runs between Run slices (same argument as RunBlock's
   // frontier).
   const bool user3 = cpl_ == 3;
   const bool dtlb_on = dtlb_enabled_;
-  const u64 taken_cost = cost_.taken_branch;
   const u64 tlb_change = tlb_.change_count();
   // Everything the hot path would otherwise read-modify-write through
   // `this` — cycle and instruction counters, TLB statistics, trace counters
@@ -1632,7 +1635,7 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
   u64 tlb_hits = 0;   // batched Tlb::RecordFastPathHits bytes
   u64 dtlb_hits = 0;  // batched DTlb::CountHit
   u64 elided = 0;
-  u32 iters = 0;  // in-trace loop-backs; each is another trace entry
+  u32 iters = 0;  // closing-edge loop-backs; each is another trace entry
   // Guest stores go through u8* and may alias anything the compiler cannot
   // prove disjoint — including the pin vector's data pointer, the D-TLB
   // statistics behind mutation_count(), and the observer registration — so
@@ -1673,7 +1676,7 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
   // probe replaces both the observer dispatch and the generation re-check
   // in the overwhelmingly common case. Values are re-read through the
   // pointer on every probe; only the pointer and size are cached (they move
-  // on Populate, which only runs at instruction fetch, never mid-body).
+  // on Populate, which only runs at instruction fetch, never mid-trace).
   const u8* const has_code = dcache_.has_code_data();
   const u32 has_code_pages = dcache_.has_code_pages();
 
@@ -1684,6 +1687,7 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
     tlb_.RecordFastPathHits(tlb_hits);                  \
     dtlb_.CountHits(dtlb_hits);                         \
     trace_stats_.probes_elided += elided;               \
+    ++trace_stats_.calls;                               \
     trace_stats_.entries += 1 + iters;                  \
     trace_stats_.uop_insns += instructions_ - insns0;   \
   } while (0)
@@ -1713,23 +1717,21 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t,
     }
     t.threaded = true;
   }
-  // Loop-back guard, hoisted out of the terminator: whether the taken target
-  // is this trace's own entry is static per trace, and the frontier check
-  // `cyc + run_cost_max < until` folds to one compare against a precomputed
-  // bound (clamped so `until < run_cost_max` can never loop). Only the
-  // generation re-check stays live per iteration — it is the invalidation
-  // fence and must read fresh state.
-  const Uop* const ulast = uend - 1;
-  const bool loop_to_entry = ulast->kind >= UopKind::kJcc &&
-                             static_cast<u32>(ulast->imm) == entry_eip;
-  const u64 loop_until = until > run_cost_max ? until - run_cost_max : 0;
+  // The closing edge's re-check, hoisted: `cyc + cost_max < until` — the
+  // same bound RunBlock's entry condition proves — folds to one compare
+  // against a precomputed bound (clamped so `until < cost_max` can never
+  // loop). Only the generation re-check stays live per iteration — it is the
+  // invalidation fence and must read fresh state.
+  const u64 loop_until = until > t.cost_max ? until - t.cost_max : 0;
+  const u64 iter_cost = t.iter_cost;
+  const u64 iter_insns = t.iter_insns;
   Uop* u = ubegin;
   u32 sval = 0;  // store value, set by u_store/u_storei for store_common
-  goto *u->target;  // bodies are never empty
+  goto *u->target;  // traces are never empty
 
-#define PALLADIUM_UOP_NEXT()         \
+#define PALLADIUM_UOP_NEXT()           \
   do {                                 \
-    if (++u == uend) goto body_done;   \
+    if (++u == uend) goto loop_back;   \
     goto *u->target;                   \
   } while (0)
 
@@ -2172,120 +2174,94 @@ u_exec: {
 }
 
 u_jcc: {
-  // The run's conditional terminator, evaluated against the lazy cache one
-  // flag at a time. When taken straight back to this run's own entry — the
-  // hot-loop backward edge — and the next full iteration provably retires
-  // below the frontier (the same run_cost_max bound run_start re-checks)
-  // with nothing invalidated (the same generation re-check `chain` does),
-  // the executor loops in place and the flags stay lazy across the
-  // iteration. Every other outcome exits with exact architectural state at
-  // precisely the boundary where the block engine would next run its own
-  // checks, so yielding to the outer loop is equivalent by construction.
-  bool taken;
+  // Guard: evaluated against the lazy cache one flag at a time. r1 is the
+  // exit condition; the trace's own edge is the other outcome.
+  bool leave;
   switch (u->r1) {
-    case 0: taken = LazyZf(fc, eflags_); break;                                // je
-    case 1: taken = !LazyZf(fc, eflags_); break;                               // jne
-    case 2: taken = LazyCf(fc, eflags_); break;                                // jb
-    case 3: taken = !LazyCf(fc, eflags_); break;                               // jae
-    case 4: taken = LazyCf(fc, eflags_) || LazyZf(fc, eflags_); break;         // jbe
-    case 5: taken = !LazyCf(fc, eflags_) && !LazyZf(fc, eflags_); break;       // ja
-    case 6: taken = LazySf(fc, eflags_) != LazyOf(fc, eflags_); break;         // jl
-    case 7: taken = LazySf(fc, eflags_) == LazyOf(fc, eflags_); break;         // jge
+    case 0: leave = LazyZf(fc, eflags_); break;                                // je
+    case 1: leave = !LazyZf(fc, eflags_); break;                               // jne
+    case 2: leave = LazyCf(fc, eflags_); break;                                // jb
+    case 3: leave = !LazyCf(fc, eflags_); break;                               // jae
+    case 4: leave = LazyCf(fc, eflags_) || LazyZf(fc, eflags_); break;         // jbe
+    case 5: leave = !LazyCf(fc, eflags_) && !LazyZf(fc, eflags_); break;       // ja
+    case 6: leave = LazySf(fc, eflags_) != LazyOf(fc, eflags_); break;         // jl
+    case 7: leave = LazySf(fc, eflags_) == LazyOf(fc, eflags_); break;         // jge
     case 8:                                                                    // jle
-      taken = LazyZf(fc, eflags_) || LazySf(fc, eflags_) != LazyOf(fc, eflags_);
+      leave = LazyZf(fc, eflags_) || LazySf(fc, eflags_) != LazyOf(fc, eflags_);
       break;
     case 9:                                                                    // jg
-      taken = !LazyZf(fc, eflags_) && LazySf(fc, eflags_) == LazyOf(fc, eflags_);
+      leave = !LazyZf(fc, eflags_) && LazySf(fc, eflags_) == LazyOf(fc, eflags_);
       break;
-    case 10: taken = LazySf(fc, eflags_); break;                               // js
-    default: taken = !LazySf(fc, eflags_); break;                              // jns
+    case 10: leave = LazySf(fc, eflags_); break;                               // js
+    default: leave = !LazySf(fc, eflags_); break;                              // jns
   }
-  insns += u->insn_before + 1;
-  if (taken) {
-    cyc += u->cost_before + taken_cost;
-    if (__builtin_expect(loop_to_entry && cyc < loop_until &&
-                             dcache_.generation() == gen0,
-                         1)) {
-      ++iters;
-      u = ubegin;
-      goto *u->target;
-    }
-    eip_ = static_cast<u32>(u->imm);
-  } else {
-    cyc += u->cost_before + u->cost;
-    eip_ = entry_eip + (u->insn_before + 1) * kInsnSize;
-  }
-  cycles_ = cyc;
-  instructions_ = insns;
-  PALLADIUM_TRACE_FLUSH_STATS();
-  if (fc.op != FlagsCache::Op::kEager) {
-    eflags_ = MaterializeFlags(fc, eflags_);
-    ++trace_stats_.flag_materializations;
-  }
-  return TraceExit::kYield;
+  if (leave) goto guard_exit;
+  PALLADIUM_UOP_NEXT();
 }
 
 u_cmpjcc: {
-  // Fused compare-and-branch terminator. The condition evaluates directly
-  // from the compare operands via the standard sub-flag identities (jb is
-  // unsigned a < b, jl is signed a < b, js is the sign of a - b, ...), which
-  // are exactly what ExecOp's per-flag reads of a cmp's EFLAGS compute. The
+  // Fused compare-and-guard. The condition evaluates directly from the
+  // compare operands via the standard sub-flag identities (jb is unsigned
+  // a < b, jl is signed a < b, js is the sign of a - b, ...), which are
+  // exactly what ExecOp's per-flag reads of a cmp's EFLAGS compute. The
   // operands still enter the flags cache so every exit materializes the
   // compare's architectural flags.
   const u32 a = regs_[u->r1];
   const u32 b = u->b_imm ? static_cast<u32>(u->imm2) : regs_[u->r2];
   fc = FlagsCache{FlagsCache::Op::kSub, a, b};
-  bool taken;
+  bool leave;
   switch (u->r3) {
-    case 0: taken = a == b; break;                                        // je
-    case 1: taken = a != b; break;                                        // jne
-    case 2: taken = a < b; break;                                         // jb
-    case 3: taken = a >= b; break;                                        // jae
-    case 4: taken = a <= b; break;                                        // jbe
-    case 5: taken = a > b; break;                                         // ja
-    case 6: taken = static_cast<i32>(a) < static_cast<i32>(b); break;     // jl
-    case 7: taken = static_cast<i32>(a) >= static_cast<i32>(b); break;    // jge
-    case 8: taken = static_cast<i32>(a) <= static_cast<i32>(b); break;    // jle
-    case 9: taken = static_cast<i32>(a) > static_cast<i32>(b); break;     // jg
-    case 10: taken = ((a - b) >> 31) != 0; break;                         // js
-    default: taken = ((a - b) >> 31) == 0; break;                         // jns
+    case 0: leave = a == b; break;                                        // je
+    case 1: leave = a != b; break;                                        // jne
+    case 2: leave = a < b; break;                                         // jb
+    case 3: leave = a >= b; break;                                        // jae
+    case 4: leave = a <= b; break;                                        // jbe
+    case 5: leave = a > b; break;                                         // ja
+    case 6: leave = static_cast<i32>(a) < static_cast<i32>(b); break;     // jl
+    case 7: leave = static_cast<i32>(a) >= static_cast<i32>(b); break;    // jge
+    case 8: leave = static_cast<i32>(a) <= static_cast<i32>(b); break;    // jle
+    case 9: leave = static_cast<i32>(a) > static_cast<i32>(b); break;     // jg
+    case 10: leave = ((a - b) >> 31) != 0; break;                         // js
+    default: leave = ((a - b) >> 31) == 0; break;                         // jns
   }
-  insns += u->insn_before + 2;
-  if (taken) {
-    cyc += u->cost_before + u->cost + taken_cost;
-    if (__builtin_expect(loop_to_entry && cyc < loop_until &&
-                             dcache_.generation() == gen0,
-                         1)) {
-      ++iters;
-      u = ubegin;
-      goto *u->target;
-    }
-    eip_ = static_cast<u32>(u->imm);
-  } else {
-    cyc += u->cost_before + u->cost + u->cost2;
-    eip_ = entry_eip + (u->insn_before + 2) * kInsnSize;
-  }
-  cycles_ = cyc;
-  instructions_ = insns;
-  PALLADIUM_TRACE_FLUSH_STATS();
-  eflags_ = MaterializeFlags(fc, eflags_);
-  ++trace_stats_.flag_materializations;
-  return TraceExit::kYield;
+  if (leave) goto guard_exit;
+  PALLADIUM_UOP_NEXT();
 }
 #undef PALLADIUM_UOP_NEXT
 
-body_done:
-  // Body complete: commit the batched retire state; the caller dispatches
-  // the run's final slot through the block engine's own handler.
-  cycles_ = cyc + t.body_cost;
-  instructions_ = insns + t.body_insns;
-  eip_ = entry_eip + t.body_insns * kInsnSize;
+loop_back:
+  // The closing edge retired: one full iteration. Loop in place while the
+  // next iteration provably retires below the frontier (the bound RunBlock's
+  // entry re-checks) and nothing was invalidated (the re-check `chain`
+  // does); the flags stay lazy across the iteration.
+  cyc += iter_cost;
+  insns += iter_insns;
+  if (__builtin_expect(cyc < loop_until && dcache_.generation() == gen0, 1)) {
+    ++iters;
+    u = ubegin;
+    goto *u->target;
+  }
+  eip_ = entry_eip;
+  goto chain_exit;
+
+guard_exit:
+  // The guard's exit edge retired: the guard (and a fused compare) plus
+  // the edge's own charge.
+  cyc += u->cost_before + u->cost2;
+  insns += u->insn_before + u->span;
+  eip_ = static_cast<u32>(u->imm);
+
+chain_exit:
+  // Exact architectural state at the exit edge's target — precisely where
+  // the block engine's `chain` label runs its own checks next.
+  cycles_ = cyc;
+  instructions_ = insns;
   PALLADIUM_TRACE_FLUSH_STATS();
   if (fc.op != FlagsCache::Op::kEager) {
     eflags_ = MaterializeFlags(fc, eflags_);
     ++trace_stats_.flag_materializations;
   }
-  return TraceExit::kBody;
+  return TraceExit::kChain;
 
 fault_exit:
   // The faulting instruction charges no base cost but DOES count in
@@ -2293,10 +2269,11 @@ fault_exit:
   // before dispatching and never roll it back on a fault. Its dynamic
   // charges (walk penalties before the fault) were synced back into `cyc`
   // by the call-out wrappers — both exactly as the block engine's fault
-  // path.
+  // path. The path is not contiguous in the page, so EIP comes from the
+  // uop's own slot.
   cycles_ = cyc + u->cost_before;
   instructions_ = insns + u->insn_before + 1;
-  eip_ = entry_eip + u->insn_before * kInsnSize;
+  eip_ = entry_eip + (u->slot - entry_slot) * kInsnSize;
   PALLADIUM_TRACE_FLUSH_STATS();
   if (fc.op != FlagsCache::Op::kEager) {
     eflags_ = MaterializeFlags(fc, eflags_);
@@ -2307,12 +2284,13 @@ fault_exit:
   return TraceExit::kStopped;
 
 gen_exit:
-  // The access retired decoded code: the current uop completes (cost and
-  // span included), then the trace yields for a re-fetch — the same
-  // boundary at which the block engine yields.
+  // The access retired decoded code: the current uop (a single memory or
+  // fallback instruction) completes, then the trace yields for a re-fetch
+  // at the next sequential slot — the same boundary at which the block
+  // engine yields.
   cycles_ = cyc + u->cost_before + u->cost;
   instructions_ = insns + u->insn_before + u->span;
-  eip_ = entry_eip + (u->insn_before + u->span) * kInsnSize;
+  eip_ = entry_eip + (u->slot + u->span - entry_slot) * kInsnSize;
   PALLADIUM_TRACE_FLUSH_STATS();
   if (fc.op != FlagsCache::Op::kEager) {
     eflags_ = MaterializeFlags(fc, eflags_);

@@ -149,8 +149,8 @@ class Cpu {
   const BlockStats& block_stats() const { return block_stats_; }
 
   // Disables the hot-trace translation tier: block dispatch never promotes
-  // runs to micro-op traces and executes every slot through the per-opcode
-  // handlers. The block engine is the trace tier's in-binary differential
+  // hot loops to micro-op traces and executes every slot through the
+  // per-opcode handlers. The block engine is the trace tier's in-binary differential
   // oracle — registers, memory, cycle counts, TLB stats, fault and
   // interrupt streams are byte-identical either way. Env analogue:
   // PALLADIUM_NO_TRACE=1. Effective only while the block engine runs.
@@ -161,9 +161,10 @@ class Cpu {
   // the optimizations themselves (not just end-to-end sim-MIPS) are
   // measurable.
   struct TraceStats {
-    u64 promotions = 0;             // runs lowered to micro-op traces
-    u64 entries = 0;                // trace-body executions begun
-    u64 uop_insns = 0;              // instructions retired inside trace bodies
+    u64 promotions = 0;             // hot loops lowered to micro-op traces
+    u64 calls = 0;                  // ExecTrace invocations from block dispatch
+    u64 entries = 0;                // iterations begun: each call adds 1 + loop-backs
+    u64 uop_insns = 0;              // instructions retired inside traces
     u64 flag_materializations = 0;  // lazy EFLAGS computed at an exit
     u64 probes_elided = 0;          // D-TLB probes answered by a live pin
   };
@@ -299,16 +300,17 @@ class Cpu {
   };
   BlockExit RunBlock(u64 cycle_limit, StopInfo* stop);
 
-  // The hot-trace tier: executes a lowered run body (see src/isa/uop.h).
-  // Called from inside block dispatch once the whole run is proved below
-  // the cycle/IRQ frontier; returns how the body ended.
+  // The hot-trace tier: executes a lowered loop (see src/isa/uop.h). Called
+  // from inside block dispatch once the trace's entry conditions prove the
+  // block engine would run its whole first iteration unchecked; returns how
+  // the loop ended.
   enum class TraceExit : u8 {
-    kBody,     // body fully retired; dispatch the run's final slot
-    kYield,    // decode generation changed mid-body; leave block dispatch
+    kChain,    // guard or frontier exit: EIP holds the edge's target
+    kYield,    // decode generation changed mid-trace; leave block dispatch
     kStopped,  // fault: *stop filled, EIP on the faulting instruction
   };
   TraceExit ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 until,
-                      u32 run_cost_max, StopInfo* stop);
+                      StopInfo* stop);
 
   // Address translation: linear -> physical with paging + TLB. `flags_out`
   // (optional) receives the effective PTE flags of the translation;
@@ -406,9 +408,9 @@ class Cpu {
   bool block_engine_enabled_ = true;
   BlockStats block_stats_;
   // Hot-trace tier switch (see set_trace_engine_enabled) and counters.
-  // Promotion threshold: run-head executions before lowering. High enough
-  // that cold code never pays the lowering cost, low enough that any loop
-  // worth measuring gets promoted almost immediately.
+  // Promotion threshold: run-head visits before the loop starting there is
+  // lowered. High enough that cold code never pays the lowering cost, low
+  // enough that any loop worth measuring gets promoted almost immediately.
   static constexpr u16 kTraceHotThreshold = 16;
   bool trace_engine_enabled_ = true;
   TraceStats trace_stats_;

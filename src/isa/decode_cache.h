@@ -104,7 +104,7 @@ struct DecodedInsn {
   u32 cost = 1;         // base retire cost from the CPU's cost table
   u32 run_cost_max = 0; // pre-summed cycle upper bound for the whole run
   // --- Hot-trace tier (mutated by the CPU, reset with the page) -------------
-  u16 hot = 0;          // run-head executions seen; promotion counter
+  u16 hot = 0;          // run-head visits seen; promotion counter
   u16 trace = kTraceNone;  // index into Page::traces, or a kTrace* sentinel
   Insn insn;
 };
@@ -129,7 +129,7 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
 
   struct Page {
     std::array<DecodedInsn, kSlotsPerPage> slots;
-    // Lowered hot-run traces, indexed by DecodedInsn::trace of the run's
+    // Lowered hot-loop traces, indexed by DecodedInsn::trace of the loop's
     // head slot. Owned by the page: every invalidation source (write
     // observer, frame eviction, capacity retirement, cost-model rebuild)
     // demotes the page's traces by killing the page itself. Like the page,
@@ -189,8 +189,8 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
   // Direct view of the has-code bitmap for the trace executor's store fast
   // path: a zero byte proves OnPhysicalWrite would be a no-op for that page,
   // so the post-store generation re-check can be skipped entirely. The
-  // pointer is stable across a trace body — only Populate (instruction
-  // fetch, never inside a body) grows the vector.
+  // pointer is stable across a trace call — only Populate (instruction
+  // fetch, never inside a trace) grows the vector.
   const u8* has_code_data() const { return has_code_.data(); }
   u32 has_code_pages() const { return static_cast<u32>(has_code_.size()); }
 

@@ -1,11 +1,37 @@
 // Micro-op IR for the hot-trace translation tier (the third execution tier,
-// above the superblock engine). When a basic-block run crosses the hotness
-// threshold, Cpu::RunBlock lowers the run's straight-line *body* — every slot
-// but the last, i.e. exactly the slots whose retire boundaries the pre-summed
-// run_cost_max already proves unchecked — into a compact uop vector and
-// executes that instead. The run's final slot (terminator or last member)
-// still dispatches through the block engine's own handler, so chaining,
-// far-transfer and halt semantics stay in one place.
+// above the superblock engine). When a basic-block run head crosses the
+// hotness threshold, Cpu::RunBlock lowers the *loop* that starts there into a
+// compact uop vector and executes that instead (Bala et al.'s Dynamo trace
+// selection: anchor at a hot head, follow the path until control returns to
+// it).
+//
+// Formation (LowerLoop). Starting at the head, the lowering follows the
+// block engine's own run decomposition:
+//
+//  * straight-line members lower to uops;
+//  * an unconditional direct `jmp` to a slot of the same page continues the
+//    trace at its target (it costs no uop, only retire accounting);
+//  * a `jcc` becomes an in-trace *guard*: its fall-through edge continues
+//    the trace, its taken edge leaves it;
+//  * lowering ends at the first edge back to the entry slot (a `jmp`, a
+//    `jcc` taken edge, a `jcc` fall-through or a run boundary). That closing
+//    edge loops in place; a closing `jcc`'s other edge is the guard exit.
+//
+// A head whose path reaches a call, return, indirect or far transfer, `hlt`,
+// an undecodable slot or the page end, or that does not close within a
+// fixed number of runs (kMaxTraceRuns in uop.cc), is marked untraceable and
+// stays on the block engine: a trace that cannot iterate pays its entry and
+// exit cost on every visit and is slower than the block engine underneath.
+//
+// Exactness. The executor has no per-retire checks, so a trace is entered
+// only where the block engine would run every member run unchecked and chain
+// through every internal edge (see Cpu::RunBlock): at the EIP it was lowered
+// at (internal edges are resolved against it), when every covered slot lies
+// inside the CS limit, and when `cycles + cost_max` stays below the
+// cycle/IRQ frontier. The closing edge re-checks the same frontier bound and
+// the decode generation before each further iteration. Every other exit —
+// guard, frontier, fault, generation change — reconstructs exact EIP, cycles
+// and instruction counts from per-uop prefix sums and slots.
 //
 // The lowering pass performs the three optimisations of this tier:
 //
@@ -13,10 +39,10 @@
 //    the last flag-producing op in a FlagsCache, and the flags are
 //    materialized — with formulas bit-for-bit identical to Cpu::ExecOp's —
 //    only when something can observe them: a fault (the handler must see
-//    exact EFLAGS), or any trace exit (the terminator may be a Jcc; retire
-//    boundaries are architectural). A static liveness pass additionally
-//    marks flag writes that are provably overwritten before any observer so
-//    they record nothing at all.
+//    exact EFLAGS) or any trace exit. Guards evaluate their condition from
+//    the cache one flag at a time. A static liveness pass additionally marks
+//    flag writes that are provably overwritten before any observer so they
+//    record nothing at all.
 //  * Redundant-translation elimination: each memory uop carries a persistent
 //    pin of its last translation (host pointer + PTE flags), revalidated by
 //    three counter compares instead of the D-TLB probe-and-permission walk.
@@ -30,15 +56,16 @@
 // Invalidation needs no machinery of its own: traces are owned by the
 // decoded page they were lowered from, so every existing invalidation source
 // (write observer, frame eviction, capacity retirement, cost-model rebuild)
-// kills them with the page, and the block engine's generation re-check after
-// every memory-touching uop bounds how long a dead trace can keep running —
-// to exactly the one instruction the per-instruction rule allows.
+// kills them with the page, and the generation re-check after every
+// memory-touching uop bounds how long a dead trace can keep running — to
+// exactly the one instruction the per-instruction rule allows.
 #ifndef SRC_ISA_UOP_H_
 #define SRC_ISA_UOP_H_
 
 #include <memory>
 #include <vector>
 
+#include "src/hw/cycle_model.h"
 #include "src/hw/types.h"
 
 namespace palladium {
@@ -80,8 +107,8 @@ struct FlagsCache {
 };
 
 // Single-flag reads against the lazy cache, for consumers that need one or
-// two bits (INC/DEC capturing CF; the in-trace Jcc terminator evaluating its
-// condition) without paying a full materialization. Each case is the
+// two bits (INC/DEC capturing CF; an in-trace guard evaluating its condition)
+// without paying a full materialization. Each case is the
 // corresponding MaterializeFlags branch restricted to one flag.
 inline bool LazyCf(const FlagsCache& fc, u32 eflags) {
   switch (fc.op) {
@@ -253,22 +280,22 @@ enum class UopKind : u8 {
   // execution core (segment moves, udiv). Never writes flags (no such
   // non-terminator opcode does), may fault or touch memory.
   kExec,
-  // Terminator: the run's final slot when it is a conditional branch.
-  // r1 = condition (Opcode - kJe), imm = taken target, cost = the slot's
-  // not-taken cost (taken charges the model's taken-branch cost). Evaluated
-  // from the lazy cache one flag at a time; when taken straight back to the
-  // run's own entry under the frontier the block engine would re-check, the
-  // executor loops in place — a hot loop iterates entirely inside the trace
-  // and the per-entry overhead amortizes over the whole loop.
+  // Guard: a conditional branch of the path. r1 = the *exit* condition
+  // (Opcode - kJe of the branch, or its negation — conditions come in
+  // complementary pairs, so negating is `^ 1`), evaluated from the lazy
+  // cache one flag at a time. When it holds the trace leaves at `imm` (the
+  // exit edge's target EIP) charging `cost2`; otherwise execution continues
+  // along the trace's own edge, whose charge `cost` is already in the prefix
+  // sums of every later uop.
   kJcc,
-  // Fused compare-and-branch: a kCmp that immediately precedes the kJcc
-  // terminator merges into it. r1/r2/b_imm/imm2 are the compare's operands
-  // (imm2 because `imm` holds the branch target), r3 = condition, cost = the
-  // compare's base cost, cost2 = the branch's not-taken cost, span = 2. The
-  // condition evaluates directly from the compare operands (jb == a < b,
-  // jl == signed a < b, ... — the standard sub-flag identities), skipping a
-  // dispatch and the lazy-flag round-trip on the hottest edge in any loop:
-  // its own backward branch. The operands are still recorded into the flags
+  // Fused compare-and-guard: a kCmp that immediately precedes a kJcc guard
+  // merges into it. r1/r2/b_imm/imm2 are the compare's operands (imm2
+  // because `imm` holds the exit EIP), r3 = exit condition, cost / cost2 =
+  // the compare's base cost plus the continuing / exiting edge's charge,
+  // span = 2. The condition evaluates directly from the compare operands
+  // (jb == a < b, jl == signed a < b, ... — the standard sub-flag
+  // identities), skipping a dispatch and the lazy-flag round-trip on the
+  // hottest edge in any loop. The operands are still recorded into the flags
   // cache so every exit materializes the compare's EFLAGS exactly.
   kCmpJcc,
 };
@@ -289,16 +316,16 @@ struct Uop {
   bool record = false;            // flag result observable: record it
   bool fold_last_is_sub = false;  // kFold: last op of the chain was SubRI
   i8 esp_post = 0;                // push/pop: ESP += this after a successful access
-  u8 pin = 0;                     // memory uops: index into Trace::pins
-  u8 span = 1;                    // instructions this uop retires (folds > 1)
-  u16 slot = 0;                   // source slot in the decoded page
-  u16 insn_before = 0;            // instructions retired by earlier uops
+  u8 span = 1;                    // instructions this uop retires (folds, fused guards > 1)
+  u16 pin = 0;                    // memory uops: index into Trace::pins
+  u16 slot = 0;                   // source slot in the decoded page (first, when span > 1)
+  u16 insn_before = 0;            // instructions retired earlier in the iteration
   u32 cost = 0;                   // base retire cost (summed over a fold)
-  u32 cost_before = 0;            // prefix base-cost sum of earlier uops
-  i32 imm = 0;                    // immediate / fold total delta
+  u32 cost_before = 0;            // base-cost sum of everything earlier in the iteration
+  i32 imm = 0;                    // immediate / fold total delta / guard exit EIP
   i32 disp = 0;                   // displacement / fold last-op immediate
-  i32 imm2 = 0;                   // fold delta before the last op
-  u32 cost2 = 0;                  // kCmpJcc: the branch's not-taken cost
+  i32 imm2 = 0;                   // fold delta before the last op / fused compare immediate
+  u32 cost2 = 0;                  // guards: the exiting edge's total charge
 };
 
 // A pinned translation: one memory uop's last successful D-TLB entry. Live
@@ -316,23 +343,34 @@ struct TracePin {
   u8* host = nullptr;
 };
 
-// A lowered run body. Owned by the decoded page it was built from (see
+// A lowered hot loop: one iteration's uops, ending at the closing edge back
+// to the entry. Owned by the decoded page it was built from (see
 // DecodeCache::Page::traces); dies with the page on any invalidation.
 struct Trace {
   std::vector<Uop> uops;
   bool threaded = false;  // uop targets filled in by the executor
   std::vector<TracePin> pins;
-  u32 body_insns = 0;  // instructions the body retires (== run_len - 1)
-  u32 body_cost = 0;   // summed base costs of the body
+  u32 entry_eip = 0;   // the EIP lowered at; internal edges resolve against it
   u16 entry_slot = 0;
-  u8 run_len = 0;
+  u32 iter_insns = 0;  // instructions one full iteration retires
+  u32 iter_cost = 0;   // base-cost sum of one full iteration
+  // Worst-case cycles of one iteration: every member run's run_cost_max plus
+  // its final slot's worst charge. `cycles + cost_max` below the frontier
+  // proves the block engine would run every member run unchecked.
+  u32 cost_max = 0;
+  // Smallest CS limit under which every covered slot is fetchable (the
+  // highest covered slot's EIP + kInsnSize): the block engine clips runs at
+  // the limit, the trace cannot.
+  u32 min_limit = 0;
 };
 
-// Lowers the body of the run starting at `slots[entry_slot]` (run_len from
-// the slot's own annotation). Returns nullptr when the run has no body worth
-// lowering. Pure ISA-side: no CPU state is consulted — register indices,
-// segments and costs are all taken from the decoded slots.
-std::unique_ptr<Trace> LowerRun(const DecodedInsn* slots, u32 entry_slot, u32 run_len);
+// Lowers the loop whose head is `slots[entry_slot]`, entered at `entry_eip`.
+// Returns nullptr when the path from the head does not close back to it (see
+// the formation rules above). Pure ISA-side: no CPU state is consulted —
+// register indices, segments and base costs come from the decoded slots, and
+// `costs` supplies the taken-branch and memory worst-case charges.
+std::unique_ptr<Trace> LowerLoop(const DecodedInsn* slots, u32 entry_slot, u32 entry_eip,
+                                 const CycleModel::CostTable& costs);
 
 }  // namespace palladium
 

@@ -36,6 +36,7 @@ void MetricsRegistry::CollectCpu(const Cpu& cpu, u32 index) {
   Counter(p + "block.insns", cpu.block_stats().insns);
   Counter(p + "block.chains", cpu.block_stats().chains);
   Counter(p + "trace.promotions", cpu.trace_stats().promotions);
+  Counter(p + "trace.calls", cpu.trace_stats().calls);
   Counter(p + "trace.entries", cpu.trace_stats().entries);
   Counter(p + "trace.uop_insns", cpu.trace_stats().uop_insns);
   Counter(p + "trace.flag_materializations",

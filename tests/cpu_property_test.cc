@@ -403,6 +403,7 @@ struct IrqDiffRun {
   // Architectural flight-recorder stream: tracing+profiling run fully
   // enabled in every mode, and the kArch events must be byte-identical.
   std::vector<obs::Event> arch_events;
+  u64 trace_promotions = 0;  // engine counter: never compared across modes
 };
 
 IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode, bool blocks,
@@ -478,6 +479,7 @@ IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode, boo
   out.memory.assign(bm.pm().HostData(), bm.pm().HostData() + bm.pm().size());
   EXPECT_EQ(recorder.TotalDropped(), 0u) << "fuzz ring sized too small to compare streams";
   out.arch_events = recorder.ArchEvents(0);
+  out.trace_promotions = bm.cpu().trace_stats().promotions;
   return out;
 }
 
@@ -488,7 +490,8 @@ TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
   u64 total_irqs = 0;
   for (u64 seed = 1; seed <= kSeeds; ++seed) {
     const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
-    const std::vector<u8> program = EncodeFuzzProgram(seed * 31 + 7, kIterations, kBodyLen);
+    const u64 program_seed = seed * 31 + 7;
+    const std::vector<u8> program = EncodeFuzzProgram(program_seed, kIterations, kBodyLen);
     const u64 timer_period = 2'000 + (seed * 977) % 9'000;
     // Scripted second device: IRQ 5 at pseudo-random cycle counts.
     std::vector<u64> nic_times;
@@ -530,6 +533,12 @@ TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
                                           specs[s].decode, specs[s].dtlb, timer_period,
                                           nic_times);
       SCOPED_TRACE("seed " + std::to_string(seed) + " config " + specs[s].name);
+      // The top-tested loop spans several runs: only loop lowering can
+      // promote it, and the differential must actually exercise that.
+      if (specs[s].blocks && specs[s].trace && specs[s].decode &&
+          FuzzLoopIsTopTested(program_seed)) {
+        EXPECT_GT(run.trace_promotions, 0u) << "the top-tested loop must promote";
+      }
       if (s == 0) {
         ref = std::move(run);
         // Forward branches can shorten a seed's run; at least one delivery
@@ -614,6 +623,7 @@ struct SmpCpuResult {
   u64 cycles = 0;
   u64 instructions = 0;
   std::vector<obs::Event> arch_events;
+  u64 trace_promotions = 0;  // engine counter: never compared across modes
 };
 
 struct SmpDiffRun {
@@ -702,6 +712,7 @@ SmpDiffRun RunSmpDifferential(const std::vector<std::vector<u8>>& programs, Fuzz
     out.cpus[c].cycles = m.cpu(c).cycles();
     out.cpus[c].instructions = m.cpu(c).instructions_retired();
     out.cpus[c].arch_events = recorder.ArchEvents(c);
+    out.cpus[c].trace_promotions = m.cpu(c).trace_stats().promotions;
   }
   EXPECT_EQ(recorder.TotalDropped(), 0u) << "fuzz ring sized too small to compare streams";
   out.memory.assign(bm.pm().HostData(), bm.pm().HostData() + bm.pm().size());
@@ -725,10 +736,12 @@ TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
     }
     for (u32 n : {1u, 2u, 4u}) {
       std::vector<std::vector<u8>> programs;
+      std::vector<bool> top_tested;
       for (u32 c = 0; c < n; ++c) {
         // Each vCPU gets its own random body, branch targets rebased to its
         // code window. (Shared builder: tests/fuzz_util.h.)
         const u64 pseed = seed * 101 + c * 17 + 3;
+        top_tested.push_back(FuzzLoopIsTopTested(pseed));
         programs.push_back(EncodeLoopedFuzzProgram(pseed, kIterations, kBodyLen,
                                                    kCodeBase + c * kSmpCodeStride,
                                                    kFuzzDataBase, kFuzzDataSpan));
@@ -775,6 +788,14 @@ TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
                                             specs[s].decode, specs[s].dtlb, shootdowns);
         SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n) +
                      " config " + specs[s].name);
+        if (specs[s].blocks && specs[s].trace && specs[s].decode) {
+          for (u32 c = 0; c < n; ++c) {
+            if (top_tested[c]) {
+              EXPECT_GT(run.cpus[c].trace_promotions, 0u)
+                  << "vCPU " << c << ": the top-tested loop must promote";
+            }
+          }
+        }
         if (s == 0) {
           ref = std::move(run);
           for (u32 c = 0; c < n; ++c) {

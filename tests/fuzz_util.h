@@ -202,8 +202,17 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
   return body;
 }
 
-// Counted loop around a fuzz body: ECX = iterations; body; dec/cmp/jne back
-// to the body; hlt. Encoded for loading at `code_base`.
+// The loop shape a seed's program uses: bottom-tested (`body; dec; cmp;
+// jne head`, one backward conditional edge) or top-tested (`head: cmp $0,
+// %ecx; je out; body; dec %ecx; jmp head`, a guard at the head and an
+// unconditional backward jump). Both are shapes the trace tier closes into
+// loops; the top-tested one spans at least two runs, so only multi-run
+// lowering can promote it.
+inline bool FuzzLoopIsTopTested(u64 seed) { return (seed & 1) != 0; }
+
+// Counted loop around a fuzz body, ECX = iterations, in the seed's shape
+// (FuzzLoopIsTopTested); both end in hlt. Encoded for loading at
+// `code_base`.
 //
 // `esp_reset`: when nonzero, the loop head reloads ESP with this value every
 // iteration. A runtime-unbalanced body (forward branches skipping pushes or
@@ -218,6 +227,7 @@ inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 bod
                                                u32 code_base, u32 data_base,
                                                u32 data_span, u32 esp_reset = 0) {
   u64 state = seed * 0x9E3779B97F4A7C15ull + 1;
+  const bool top_tested = FuzzLoopIsTopTested(seed);
   std::vector<Insn> program;
   Insn init;
   init.opcode = Opcode::kMovRI;
@@ -231,13 +241,25 @@ inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 bod
   esi_init.r1 = static_cast<u8>(Reg::kEsi);
   esi_init.imm = static_cast<i32>(data_base);
   program.push_back(esi_init);
-  u32 loop_base = code_base + 2 * kInsnSize;  // after the one-time inits
+  const u32 loop_base = code_base + 2 * kInsnSize;  // after the one-time inits
   if (esp_reset != 0) {
     Insn reset;
     reset.opcode = Opcode::kMovRI;
     reset.r1 = static_cast<u8>(Reg::kEsp);
     reset.imm = static_cast<i32>(esp_reset);
     program.push_back(reset);
+  }
+  Insn cmp;
+  cmp.opcode = Opcode::kCmpRI;
+  cmp.r1 = static_cast<u8>(Reg::kEcx);
+  cmp.imm = 0;
+  // The top-tested exit: patched to the hlt slot once the length is known.
+  const size_t exit_test = program.size() + 1;
+  if (top_tested) {
+    program.push_back(cmp);
+    Insn je;
+    je.opcode = Opcode::kJe;
+    program.push_back(je);
   }
   const u32 body_base = code_base + static_cast<u32>(program.size()) * kInsnSize;
   std::vector<Insn> body = BuildFuzzBody(&state, body_base, body_len, data_base, data_span);
@@ -246,17 +268,20 @@ inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 bod
   dec.opcode = Opcode::kDecR;
   dec.r1 = static_cast<u8>(Reg::kEcx);
   program.push_back(dec);
-  Insn cmp;
-  cmp.opcode = Opcode::kCmpRI;
-  cmp.r1 = static_cast<u8>(Reg::kEcx);
-  cmp.imm = 0;
-  program.push_back(cmp);
-  Insn jne;
-  jne.opcode = Opcode::kJne;
-  jne.imm = static_cast<i32>(loop_base);  // re-runs the ESP reset when present
-  program.push_back(jne);
+  Insn back;
+  back.imm = static_cast<i32>(loop_base);  // re-runs the ESP reset when present
+  if (top_tested) {
+    back.opcode = Opcode::kJmp;
+  } else {
+    program.push_back(cmp);
+    back.opcode = Opcode::kJne;
+  }
+  program.push_back(back);
   Insn hlt;
   hlt.opcode = Opcode::kHlt;
+  if (top_tested) {
+    program[exit_test].imm = static_cast<i32>(code_base + program.size() * kInsnSize);
+  }
   program.push_back(hlt);
 
   std::vector<u8> bytes(program.size() * kInsnSize);

@@ -221,13 +221,15 @@ TEST(MetricsRegistry, SnapshotCoversEverySubsystem) {
   // One spot check per federated subsystem; the naming scheme is
   // <subsystem>[<index>].<group>.<counter> (see README "Observability").
   for (const char* key :
-       {"cpu0.cycles", "cpu1.tlb.misses", "sched.idle_cycles",
+       {"cpu0.cycles", "cpu1.tlb.misses", "cpu0.trace.calls", "sched.idle_cycles",
         "sched.cpu0.context_switches", "nic.rx_frames", "nic.q0.rx_frames",
         "dataplane.delivered", "dataplane.flow_upgrades",
         "kernel.smp.shootdown_ipis", "obs.profile.user", "obs.profile.total_cycles",
         "obs.trace.events", "obs.trace.dropped_events"}) {
     EXPECT_EQ(values.count(key), 1u) << "missing metric " << key;
   }
+  // One trace call begins one or more iterations (entries).
+  EXPECT_LE(values.at("cpu0.trace.calls").u, values.at("cpu0.trace.entries").u);
   const std::string json = run.metrics.SnapshotJson();
   EXPECT_NE(json.find("\"cpu0.cycles\""), std::string::npos);
   EXPECT_NE(json.find("\"obs.profile.user\""), std::string::npos);

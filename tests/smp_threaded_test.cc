@@ -73,11 +73,12 @@ constexpr u64 kEpochCycles = 1024;
 // data-race-freedom precondition needs.
 u32 WindowBase(u32 c) { return kDataBase + c * kDataSpan; }
 
+u64 ProgramSeed(u64 seed, u32 c) { return seed * 131 + c * 29 + 7; }
+
 std::vector<u8> BuildProgram(u64 seed, u32 c) {
   constexpr u32 kIterations = 150;
   constexpr u32 kBodyLen = 160;
-  const u64 pseed = seed * 131 + c * 29 + 7;
-  return EncodeLoopedFuzzProgram(pseed, kIterations, kBodyLen,
+  return EncodeLoopedFuzzProgram(ProgramSeed(seed, c), kIterations, kBodyLen,
                                  kCodeBase + c * kCodeStride,
                                  WindowBase(c) + 8, kDataSpan - 16,
                                  /*esp_reset=*/kStackTop - c * kStackStride);
@@ -93,6 +94,7 @@ struct CpuResult {
   u64 tlb_hits = 0;
   u64 tlb_misses = 0;
   std::vector<obs::Event> arch_events;
+  u64 trace_promotions = 0;
 };
 
 // Per-barrier sample: every vCPU's (cycles, instructions) at the quiesce
@@ -230,6 +232,7 @@ void Collect(Rig& rig, DiffRun& out) {
     out.cpus[c].tlb_hits = m.cpu(c).tlb().stats().hits;
     out.cpus[c].tlb_misses = m.cpu(c).tlb().stats().misses;
     out.cpus[c].arch_events = rig.recorder.ArchEvents(c);
+    out.cpus[c].trace_promotions = m.cpu(c).trace_stats().promotions;
   }
   EXPECT_EQ(rig.recorder.TotalDropped(), 0u) << "ring sized too small to compare streams";
   out.memory.assign(rig.bm.pm().HostData(), rig.bm.pm().HostData() + rig.bm.pm().size());
@@ -359,6 +362,11 @@ TEST(ThreadedSmpDifferential, MatchesInterleaverOnDrfWorkloads) {
       for (u32 c = 0; c < n; ++c) {
         EXPECT_GE(threaded.cpus[c].instructions, 1'000u)
             << "vCPU " << c << " barely executed — fuzz not meaningful";
+        // Only loop lowering can promote the multi-run top-tested shape.
+        if (FuzzLoopIsTopTested(ProgramSeed(seed, c))) {
+          EXPECT_GT(threaded.cpus[c].trace_promotions, 0u)
+              << "vCPU " << c << ": the top-tested loop must promote";
+        }
       }
       EXPECT_GE(threaded.samples.size(), 8u)
           << "too few epoch barriers for the sample comparison to mean anything";

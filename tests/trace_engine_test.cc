@@ -1,8 +1,11 @@
 // Hot-trace tier tests: promotion lifecycle (cold -> hot -> lowered ->
-// re-promoted after invalidation), the invalidation edges the tier must get
-// exactly right — a self-modifying store executing *inside* the hot trace,
-// and an SMP remote store retiring the trace's page mid-loop — plus
-// lazy-flags exactness at a fault boundary and the engine/env switches.
+// re-promoted after invalidation), loop formation (multi-run loops close,
+// heads that cannot close stay on the block engine), guard exits, the
+// invalidation edges the tier must get exactly right — a self-modifying
+// store executing *inside* the hot trace, and an SMP remote store retiring
+// the trace's page mid-loop — plus lazy-flags exactness at a fault boundary,
+// cycle-limit slicing, the flight recorder's engine events and the
+// engine/env switches.
 // Everywhere, the block engine with the tier disabled is the in-binary
 // differential oracle: registers, memory, cycles, TLB statistics, fault
 // streams must be byte-identical with the tier on or off.
@@ -10,9 +13,11 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "src/hw/bare_machine.h"
 #include "src/hw/smp.h"
+#include "src/obs/trace.h"
 
 namespace palladium {
 namespace {
@@ -33,11 +38,14 @@ struct TraceRunResult {
 
 // Assembles and runs `source` at kCodeBase with the trace tier on or off
 // (block engine always on — it is the tier's host) and returns final state.
+// An optional flight recorder is attached on track 0.
 TraceRunResult RunWithTrace(const std::string& source, bool trace,
-                            u64 cycle_limit = 10'000'000) {
+                            u64 cycle_limit = 10'000'000,
+                            obs::FlightRecorder* recorder = nullptr) {
   BareMachine bm;
   bm.cpu().set_block_engine_enabled(true);
   bm.cpu().set_trace_engine_enabled(trace);
+  if (recorder != nullptr) bm.cpu().set_recorder(recorder, 0);
   std::string diag;
   auto img = bm.LoadProgram(source, kCodeBase, &diag);
   EXPECT_TRUE(img.has_value()) << diag;
@@ -143,8 +151,12 @@ loop:
 }
 
 // PALLADIUM_NO_TRACE=1 disables the tier at construction, exactly like
-// set_trace_engine_enabled(false).
+// set_trace_engine_enabled(false). The suite itself may run under the
+// oracle switch, so the caller's setting is saved and restored.
 TEST(TraceEngine, EnvSwitchDisablesTraceTier) {
+  const char* outer = std::getenv("PALLADIUM_NO_TRACE");
+  const std::string saved = outer != nullptr ? outer : "";
+  ::unsetenv("PALLADIUM_NO_TRACE");
   {
     BareMachine bm;
     EXPECT_TRUE(bm.cpu().trace_engine_enabled()) << "tier defaults to on";
@@ -154,17 +166,17 @@ TEST(TraceEngine, EnvSwitchDisablesTraceTier) {
     BareMachine bm;
     EXPECT_FALSE(bm.cpu().trace_engine_enabled());
   }
-  ::unsetenv("PALLADIUM_NO_TRACE");
+  if (outer != nullptr) {
+    ::setenv("PALLADIUM_NO_TRACE", saved.c_str(), 1);
+  } else {
+    ::unsetenv("PALLADIUM_NO_TRACE");
+  }
 }
 
-// A store executing *inside* the hot trace patches a later instruction of
-// the trace's own body. The store must exit the trace at the invalidation
-// boundary, the patched bytes must execute on the very same iteration, and
-// once the stores move back off the code page the loop must re-heat and be
-// promoted a second time.
-TEST(TraceEngine, SelfModifyingStoreInsideHotTraceRepromotes) {
-  // Body slot `add $1, %ebx` lives at 0x10040; its imm field is at +8.
-  const std::string source = R"(
+// Body slot `add $1, %ebx` lives at 0x10040; its imm field is at +8. The
+// loop's head trace spans three runs: two mid-trace guards (`je fix`,
+// `je unfix`) and the closing `jne loop`.
+constexpr const char* kSelfModifyingLoop = R"(
   .global main
 main:
   mov $100, %ecx
@@ -189,8 +201,15 @@ unfix:
   mov $0x20000, %esi
   jmp loop
 )";
-  TraceRunResult on = RunWithTrace(source, /*trace=*/true);
-  TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+
+// A store executing *inside* the hot trace patches a later instruction of
+// the trace's own body. The store must exit the trace at the invalidation
+// boundary, the patched bytes must execute on the very same iteration, and
+// once the stores move back off the code page the loop must re-heat and be
+// promoted a second time.
+TEST(TraceEngine, SelfModifyingStoreInsideHotTraceRepromotes) {
+  TraceRunResult on = RunWithTrace(kSelfModifyingLoop, /*trace=*/true);
+  TraceRunResult off = RunWithTrace(kSelfModifyingLoop, /*trace=*/false);
   EXPECT_EQ(on.stop.reason, StopReason::kHalted);
   ExpectSameState(on, off);
 
@@ -314,6 +333,251 @@ loop:
   EXPECT_GE(on.trace.promotions, 1u) << "the loop must have faulted while hot";
   EXPECT_GE(on.trace.flag_materializations, 1u)
       << "the fault exit must have materialized lazy flags";
+}
+
+// The web worker's checksum loop is top-tested: `cmp; je` is one run and the
+// byte-processing body ending in `jmp csum` another. Loop lowering closes it
+// into one trace, so each payload byte is one in-trace iteration of all
+// seven instructions instead of two trace entries.
+TEST(TraceEngine, TopTestedChecksumLoopRunsInTrace) {
+  const std::string source = R"(
+  .global main
+main:
+  mov $0x20000, %ebp
+  mov $300, %ecx
+fill:
+  st8 %ecx, 0(%ebp)
+  add $1, %ebp
+  dec %ecx
+  cmp $0, %ecx
+  jne fill
+  mov $200, %edi          ; packets
+pkt:
+  mov $300, %ecx          ; frame length
+  mov $0x20000, %ebp
+  mov $0, %edx
+csum:
+  cmp $0, %ecx
+  je send
+  ld8 0(%ebp), %eax
+  add %eax, %edx
+  add $1, %ebp
+  dec %ecx
+  jmp csum
+send:
+  add %edx, %ebx
+  dec %edi
+  cmp $0, %edi
+  jne pkt
+  hlt
+)";
+  TraceRunResult on = RunWithTrace(source, /*trace=*/true);
+  TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  // Bytes 300..1 stored as st8: 255 * 256 / 2 + (0 + ... + 44) per packet.
+  EXPECT_EQ(on.ctx.regs[static_cast<u8>(Reg::kEbx)], 200u * 33630u);
+  EXPECT_GE(on.trace.promotions, 1u);
+  EXPECT_GE(on.trace.uop_insns * 10, on.instructions * 9)
+      << "at least 90% of the instructions should retire in-trace";
+  EXPECT_GE(on.trace.uop_insns * 2, on.trace.entries * 13)
+      << "each entry should run the whole 7-instruction byte loop";
+  EXPECT_LT(on.trace.calls, on.trace.entries / 100)
+      << "the loop should iterate in place, not be re-entered per byte";
+}
+
+// A guard taken on iteration k of a hot loop — long after promotion, with
+// the flags it tests held lazily from a `sub` — leaves the trace with the
+// exact EIP, cycles, instruction count and EFLAGS of the block engine.
+TEST(TraceEngine, MidTraceGuardExitIsExact) {
+  for (u32 k : {17u, 18u, 40u, 99u}) {
+    SCOPED_TRACE("guard taken on iteration " + std::to_string(k));
+    const std::string source = R"(
+  .global main
+main:
+  mov $100, %ecx
+  mov $)" + std::to_string(k - 1) + R"(, %edx
+loop:
+  add $3, %eax
+  sub $1, %edx
+  js out
+  st %eax, 0x20000
+  dec %ecx
+  cmp $0, %ecx
+  jne loop
+  hlt
+out:
+  hlt
+)";
+    TraceRunResult on = RunWithTrace(source, /*trace=*/true);
+    TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+    EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+    ExpectSameState(on, off);
+    EXPECT_EQ(on.ctx.regs[static_cast<u8>(Reg::kEax)], 3u * k) << "exited on iteration k";
+    EXPECT_NE(on.ctx.eflags & kFlagSf, 0u) << "the sub's SF must survive the exit";
+    EXPECT_NE(on.ctx.eflags & kFlagCf, 0u) << "the sub's CF must survive the exit";
+    // One call that iterated in place (7 instructions per iteration) and
+    // left three instructions into iteration k, at the guard.
+    EXPECT_EQ(on.trace.calls, 1u);
+    EXPECT_EQ(on.trace.uop_insns % 7, 3u) << "the guard must have exited from inside the trace";
+  }
+}
+
+// A hot function body reached by call/ret never closes a loop (its path ends
+// at `ret`), and neither does its caller's loop (its path reaches `call`):
+// both heads stay on the block engine.
+TEST(TraceEngine, HeadThatCannotCloseALoopIsNeverPromoted) {
+  const std::string source = R"(
+  .global main
+main:
+  mov $200, %ecx
+loop:
+  call f
+  dec %ecx
+  cmp $0, %ecx
+  jne loop
+  hlt
+f:
+  add $3, %eax
+  xor $5, %eax
+  add %eax, %ebx
+  ret
+)";
+  TraceRunResult on = RunWithTrace(source, /*trace=*/true);
+  TraceRunResult off = RunWithTrace(source, /*trace=*/false);
+  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+  ExpectSameState(on, off);
+  EXPECT_EQ(on.trace.promotions, 0u);
+  EXPECT_EQ(on.trace.calls, 0u);
+  EXPECT_EQ(on.trace.uop_insns, 0u);
+}
+
+// A 100-instruction straight-line body: the block engine caps the loop's
+// first run at kMaxBlockInsns (64) on a store, so the trace continues across
+// a run boundary that has no branch, and the capped run's final memory
+// access contributes its worst-case walk charge to the entry bound.
+std::string LongBodyLoop() {
+  std::string body;
+  for (int i = 0; i < 100; ++i) {
+    const std::string disp = std::to_string(4 * i);
+    switch (i % 4) {
+      case 0: body += "  add $" + std::to_string(i + 1) + ", %eax\n"; break;
+      case 1: body += "  ld " + disp + "(%esi), %edx\n"; break;
+      case 2: body += "  xor %edx, %ebx\n"; break;
+      default: body += "  st %ebx, " + disp + "(%esi)\n"; break;
+    }
+  }
+  return "  .global main\nmain:\n  mov $60, %ecx\n  mov $0x20000, %esi\nloop:\n" + body +
+         "  dec %ecx\n  cmp $0, %ecx\n  jne loop\n  hlt\n";
+}
+
+// Loop shapes sliced by tiny cycle limits land on exactly the same
+// (cycles, EIP, instructions) boundaries with the tier on and off — a trace
+// is entered only where the block engine would run a whole iteration
+// unchecked, and leaves at the frontier otherwise. The shapes: a two-run
+// top-tested loop, a loop whose first run is capped without a branch, and a
+// loop closed by a guard's fall-through edge into the head.
+TEST(TraceEngine, CycleLimitSlicesLandOnIdenticalBoundaries) {
+  const std::pair<const char*, std::string> shapes[] = {
+      {"two-run top-tested", R"(
+  .global main
+main:
+  mov $300, %ecx
+loop:
+  cmp $0, %ecx
+  je done
+  add $3, %eax
+  ld 0x20000, %edx
+  xor %edx, %eax
+  add $1, %ebx
+  dec %ecx
+  jmp loop
+done:
+  hlt
+)"},
+      {"capped first run", LongBodyLoop()},
+      {"closed by fall-through", R"(
+  .global main
+main:
+  mov $200, %ecx
+  jmp head
+back:
+  dec %ecx
+  cmp $0, %ecx
+  je done
+head:
+  add $3, %eax
+  ld 0x20000, %edx
+  xor %edx, %eax
+  jmp back
+done:
+  hlt
+)"},
+  };
+  for (const auto& [name, source] : shapes) {
+    SCOPED_TRACE(name);
+    u64 calls_total = 0;
+    for (u64 slice : {1ull, 7ull, 23ull, 64ull, 5000ull}) {
+      BareMachine on, off;
+      on.cpu().set_block_engine_enabled(true);
+      on.cpu().set_trace_engine_enabled(true);
+      off.cpu().set_block_engine_enabled(true);
+      off.cpu().set_trace_engine_enabled(false);
+      for (BareMachine* bm : {&on, &off}) {
+        std::string diag;
+        auto img = bm->LoadProgram(source, kCodeBase, &diag);
+        ASSERT_TRUE(img.has_value()) << diag;
+        bm->Start(*img->Lookup("main"), 0, kStackTop);
+      }
+      for (int step = 0; step < 100'000; ++step) {
+        const u64 limit = on.cpu().cycles() + slice;
+        StopInfo a = on.Run(limit);
+        StopInfo b = off.Run(limit);
+        ASSERT_EQ(a.reason, b.reason) << "slice " << slice << " step " << step;
+        ASSERT_EQ(on.cpu().cycles(), off.cpu().cycles())
+            << "slice " << slice << " step " << step;
+        ASSERT_EQ(on.cpu().eip(), off.cpu().eip()) << "slice " << slice << " step " << step;
+        ASSERT_EQ(on.cpu().instructions_retired(), off.cpu().instructions_retired())
+            << "slice " << slice << " step " << step;
+        if (a.reason == StopReason::kHalted) break;
+      }
+      EXPECT_EQ(on.cpu().eflags(), off.cpu().eflags());
+      for (u8 r = 0; r < kNumRegs; ++r) {
+        EXPECT_EQ(on.cpu().reg(static_cast<Reg>(r)), off.cpu().reg(static_cast<Reg>(r)));
+      }
+      calls_total += on.cpu().trace_stats().calls;
+    }
+    EXPECT_GT(calls_total, 0u) << "the wider slices must have run the loop in-trace";
+  }
+}
+
+u64 CountEvents(const obs::FlightRecorder& recorder, obs::EventType type) {
+  u64 n = 0;
+  for (const obs::Event& e : recorder.Events(0)) n += e.type == type ? 1 : 0;
+  return n;
+}
+
+// The recorder's kTraceInvalidate means "a hot trace died to a code write":
+// a plain hot loop — whose guard and frontier exits are ordinary — records
+// its compile and no invalidation, while the self-modifying loop records
+// the invalidation its store causes.
+TEST(TraceEngine, RecorderLogsInvalidateOnlyForCodeWrites) {
+  {
+    obs::FlightRecorder recorder;
+    recorder.Reset(1, 1u << 16);
+    TraceRunResult on = RunWithTrace(kHotMemLoop, /*trace=*/true, 10'000'000, &recorder);
+    EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+    EXPECT_GE(CountEvents(recorder, obs::EventType::kTraceCompile), 1u);
+    EXPECT_EQ(CountEvents(recorder, obs::EventType::kTraceInvalidate), 0u);
+  }
+  {
+    obs::FlightRecorder recorder;
+    recorder.Reset(1, 1u << 16);
+    TraceRunResult on = RunWithTrace(kSelfModifyingLoop, /*trace=*/true, 10'000'000, &recorder);
+    EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+    EXPECT_GE(CountEvents(recorder, obs::EventType::kTraceCompile), 2u);
+    EXPECT_GE(CountEvents(recorder, obs::EventType::kTraceInvalidate), 1u);
+  }
 }
 
 }  // namespace
