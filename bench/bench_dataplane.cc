@@ -34,6 +34,7 @@
 #include "bench/bench_util.h"
 #include "src/filter/filter.h"
 #include "src/hw/nic.h"
+#include "src/hw/runtime_config.h"
 #include "src/kernel/sched.h"
 #include "src/net/dataplane.h"
 #include "src/net/packet.h"
@@ -305,7 +306,7 @@ int RunSoak(u32 requests, u32 smp) {
   cfg.profiler = &profiler;
   cfg.metrics = &metrics;
 
-  const bool no_napi_env = std::getenv("PALLADIUM_NO_NAPI") != nullptr;
+  const bool no_napi_env = !RuntimeConfig::FromEnv().napi;
   std::printf("soak (%s): %u requests, %u distinct client flows, %u vCPUs, %u workers...\n",
               no_napi_env ? "oracle: IRQ per packet" : "NAPI + batched crossings", requests,
               cfg.clients, smp, cfg.workers);
@@ -432,7 +433,7 @@ int main(int argc, char** argv) {
   // measures added cores, not the offered rate.
   const u64 inter_arrival = smp > 1 ? 150 : 1'500;
   const double min_pps = EnvDouble("PALLADIUM_BENCH_MIN_PPS", 10'000.0);
-  const bool no_napi_env = std::getenv("PALLADIUM_NO_NAPI") != nullptr;
+  const bool no_napi_env = !RuntimeConfig::FromEnv().napi;
 
   std::printf("filter: %s\n", kFilterText);
   std::printf("baseline (run-to-completion, no interrupts): measuring...\n");

@@ -45,37 +45,6 @@
 namespace palladium {
 namespace {
 
-enum class Engine { kTrace, kBlock, kInsn, kOracle };
-
-void ConfigureEngine(Cpu& cpu, Engine engine) {
-  switch (engine) {
-    case Engine::kTrace:
-      cpu.set_block_engine_enabled(true);
-      cpu.set_decode_cache_enabled(true);
-      cpu.set_dtlb_enabled(true);
-      cpu.set_trace_engine_enabled(true);
-      break;
-    case Engine::kBlock:
-      cpu.set_block_engine_enabled(true);
-      cpu.set_decode_cache_enabled(true);
-      cpu.set_dtlb_enabled(true);
-      cpu.set_trace_engine_enabled(false);
-      break;
-    case Engine::kInsn:
-      cpu.set_block_engine_enabled(false);
-      cpu.set_decode_cache_enabled(true);
-      cpu.set_dtlb_enabled(true);
-      cpu.set_trace_engine_enabled(false);
-      break;
-    case Engine::kOracle:
-      cpu.set_block_engine_enabled(false);
-      cpu.set_decode_cache_enabled(false);
-      cpu.set_dtlb_enabled(false);
-      cpu.set_trace_engine_enabled(false);
-      break;
-  }
-}
-
 // ALU-heavy steady state: register ops plus one load, a tight loop.
 constexpr const char* kAluWorkload = R"(
   .global main
@@ -120,7 +89,8 @@ loop:
 
 void RunThroughput(benchmark::State& state, const char* workload, Engine engine) {
   BareMachine bm;
-  ConfigureEngine(bm.cpu(), engine);
+  bm.cpu().set_engine(engine);
+  bm.cpu().set_dtlb_enabled(engine != Engine::kOracle);  // "oracle": per-byte data path too
   std::string diag;
   auto img = bm.LoadProgram(workload, 0x10000, &diag);
   if (!img) {
@@ -226,7 +196,8 @@ void RunSmpThroughput(benchmark::State& state, bool mem_workload, u32 n, bool th
   Machine& m = bm.machine();
   std::vector<u32> entries(n);
   for (u32 c = 0; c < n; ++c) {
-    ConfigureEngine(m.cpu(c), Engine::kTrace);  // the default configuration
+    m.cpu(c).set_engine(Engine::kTrace);  // the default configuration
+    m.cpu(c).set_dtlb_enabled(true);
     const std::string src =
         mem_workload ? SmpMemWorkload(c, kIterations) : SmpAluWorkload(c, kIterations);
     std::string diag;

@@ -1,6 +1,5 @@
 #include "src/hw/cpu.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "src/hw/irq.h"
@@ -70,13 +69,6 @@ Cpu::Cpu(PhysicalMemory& pm, DescriptorTable& gdt, DescriptorTable& idt, CycleMo
   // it comes from a simulated store (on any vCPU), host-side kernel code, or
   // device DMA. Each vCPU registers its own cache; writes fan out to all.
   pm_.AddWriteObserver(&dcache_);
-  // Global oracle switches: PALLADIUM_NO_DTLB=1 runs every CPU on the
-  // per-byte data path, PALLADIUM_NO_BLOCKS=1 on the per-instruction
-  // dispatch loop — so any bench or example can be diffed against the fast
-  // paths without code changes (outputs must be byte-identical).
-  if (std::getenv("PALLADIUM_NO_DTLB") != nullptr) dtlb_enabled_ = false;
-  if (std::getenv("PALLADIUM_NO_BLOCKS") != nullptr) block_engine_enabled_ = false;
-  if (std::getenv("PALLADIUM_NO_TRACE") != nullptr) trace_engine_enabled_ = false;
   dcache_.set_cost_table(&cost_);
   RebuildCostTable();
 }
@@ -571,7 +563,7 @@ bool Cpu::FetchInsn(const DecodedInsn** insn, Fault* fault) {
 
   // Fast path: slot-aligned fetches (kInsnSize divides kPageSize, so they
   // never cross a page) execute straight out of the decoded page image.
-  if (decode_cache_enabled_ && (linear & (kInsnSize - 1)) == 0) {
+  if (engine_ != Engine::kOracle && (linear & (kInsnSize - 1)) == 0) {
     const u32 vpn = PageNumber(linear);
     if (fetch_page_ != nullptr && vpn == fetch_vpn_ &&
         fetch_tlb_change_ == tlb_.change_count() &&
@@ -914,7 +906,7 @@ StopInfo Cpu::Run(u64 cycle_limit) {
     // could not run more than one instruction anyway because a pending but
     // masked IRQ pins the hub's attention cycle to "now" (every boundary
     // must poll, so block entry would be pure overhead).
-    if (block_engine_enabled_ && decode_cache_enabled_ &&
+    if (engine_ >= Engine::kBlock &&
         (irq_hub_ == nullptr || irq_hub_->attention_cycle() > cycles_)) {
       const BlockExit be = RunBlock(cycle_limit, &stop);
       if (be == BlockExit::kStopped) return stop;
@@ -1227,9 +1219,8 @@ inline Cpu::ExecStatus Cpu::ExecOp(Cpu& c, const DecodedInsn& d, ExecCtx& ctx) {
 
 // The per-instruction interpreter step: fetch, dispatch through the shared
 // execution core, account cycles. This is the PR 2 fast path, kept intact as
-// the block engine's in-binary oracle (PALLADIUM_NO_BLOCKS=1, bench engine
-// `insn`). Flattened so the per-instruction cost is branches, not call
-// frames.
+// the block engine's in-binary oracle (Engine::kInsn, PALLADIUM_NO_BLOCKS=1).
+// Flattened so the per-instruction cost is branches, not call frames.
 __attribute__((flatten)) bool Cpu::StepOne(StopInfo* stop) {
   const u32 insn_eip = eip_;
   Fault fault;
@@ -1414,7 +1405,7 @@ run_start:
   // exit on the same boundaries by construction. Guard and frontier exits
   // continue at `chain`, exactly where the block engine would be after the
   // exit edge's branch.
-  if (trace_engine_enabled_) {
+  if (engine_ == Engine::kTrace) {
     u16 ti = d->trace;
     if (ti == kTraceNone && ++d->hot >= kTraceHotThreshold) {
       auto lowered = LowerLoop(page->slots.data(), static_cast<u32>(d - page->slots.data()),

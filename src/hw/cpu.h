@@ -39,6 +39,19 @@ struct StopInfo {
   u32 host_call_id = 0;  // valid when reason == kHostCall
 };
 
+// Host execution engine, ordered so each tier runs on top of every tier
+// below it: blocks execute out of decoded pages, and traces are entered from
+// block dispatch. Each tier is the next one's differential oracle — the
+// architectural results (registers, memory, cycle counts, fault, interrupt
+// and arch-event streams) are identical under all four. The D-TLB data path
+// is an orthogonal switch (Cpu::set_dtlb_enabled).
+enum class Engine : u8 {
+  kOracle,  // per-byte fetch and re-decode of every instruction
+  kInsn,    // decoded-page fetch cache, one instruction per dispatch
+  kBlock,   // superblock engine: basic-block runs, threaded dispatch, chaining
+  kTrace,   // hot loops lowered to micro-op traces inside block dispatch
+};
+
 // Task State Segment (the parts Palladium uses): one stack pointer per
 // privilege level 0..2. Level 3's stack needs no TSS slot (Section 3.2).
 struct Tss {
@@ -124,19 +137,11 @@ class Cpu {
   Tlb& tlb() { return tlb_; }
   DecodeCache& decode_cache() { return dcache_; }
   const DecodeCache& decode_cache() const { return dcache_; }
-  // Disables the decoded-page fetch fast path (every fetch translates all 16
-  // instruction bytes and re-decodes). Exists so benches can measure the
-  // pre-cache baseline; correctness is identical either way. Implies the
-  // block engine is off too (blocks execute out of decoded pages).
-  void set_decode_cache_enabled(bool enabled) { decode_cache_enabled_ = enabled; }
-  // Disables the superblock engine: Run falls back to the PR 2
-  // per-instruction fast path (decode cache + D-TLB, dispatched one
-  // instruction at a time). The per-instruction path is the block engine's
-  // differential oracle — registers, memory, cycle counts, TLB stats, fault
-  // and interrupt streams are byte-identical either way. Env analogue:
-  // PALLADIUM_NO_BLOCKS=1.
-  void set_block_engine_enabled(bool enabled) { block_engine_enabled_ = enabled; }
-  bool block_engine_enabled() const { return block_engine_enabled_; }
+  // The execution engine (default kTrace). Machine applies the environment's
+  // choice to every vCPU it builds (src/hw/runtime_config.h); benches and
+  // tests pick one explicitly.
+  void set_engine(Engine engine) { engine_ = engine; }
+  Engine engine() const { return engine_; }
 
   // Block-engine observability: how often Run entered block dispatch, how
   // many instructions retired inside it, and how many taken branches chained
@@ -147,15 +152,6 @@ class Cpu {
     u64 chains = 0;   // direct block->block transfers (same-page branches)
   };
   const BlockStats& block_stats() const { return block_stats_; }
-
-  // Disables the hot-trace translation tier: block dispatch never promotes
-  // hot loops to micro-op traces and executes every slot through the
-  // per-opcode handlers. The block engine is the trace tier's in-binary differential
-  // oracle — registers, memory, cycle counts, TLB stats, fault and
-  // interrupt streams are byte-identical either way. Env analogue:
-  // PALLADIUM_NO_TRACE=1. Effective only while the block engine runs.
-  void set_trace_engine_enabled(bool enabled) { trace_engine_enabled_ = enabled; }
-  bool trace_engine_enabled() const { return trace_engine_enabled_; }
 
   // Trace-tier observability: promotion/elision rates, so regressions in
   // the optimizations themselves (not just end-to-end sim-MIPS) are
@@ -173,9 +169,9 @@ class Cpu {
   DTlb& dtlb() { return dtlb_; }
   const DTlb::Stats& dtlb_stats() const { return dtlb_.stats(); }
   // Disables the data-access fast path (every load/store/push/pop goes back
-  // to the per-byte translate loop). The slow path is the differential
-  // oracle: architectural state, memory image, cycle counts and fault
-  // streams are identical either way.
+  // to the per-byte translate loop), under any engine. The slow path is the
+  // differential oracle: architectural state, memory image, cycle counts and
+  // fault streams are identical either way.
   void set_dtlb_enabled(bool enabled) { dtlb_enabled_ = enabled; }
   bool dtlb_enabled() const { return dtlb_enabled_; }
 
@@ -196,8 +192,8 @@ class Cpu {
   // --- Hardware interrupts ----------------------------------------------------
   // Attaching a hub makes the CPU poll for pending IRQs at instruction-
   // retire boundaries (and only there), keyed off the cycle counter — so
-  // delivery points are deterministic and identical with the decode-cache /
-  // D-TLB fast paths on or off. Delivery requires EFLAGS.IF; entering an
+  // delivery points are deterministic and identical under every Engine and
+  // D-TLB setting. Delivery requires EFLAGS.IF; entering an
   // interrupt gate clears IF and IRET restores it, as on the hardware.
   void set_irq_hub(IrqHub* hub) { irq_hub_ = hub; }
   IrqHub* irq_hub() const { return irq_hub_; }
@@ -400,19 +396,15 @@ class Cpu {
   bool dtlb_enabled_ = true;
 
   // --- Instruction fetch fast path -----------------------------------------
+  Engine engine_ = Engine::kTrace;
   // Decoded pages keyed by physical frame, shared across address spaces.
   DecodeCache dcache_;
-  bool decode_cache_enabled_ = true;
-  // Superblock engine switch (see set_block_engine_enabled). Effective only
-  // while the decode cache is enabled.
-  bool block_engine_enabled_ = true;
   BlockStats block_stats_;
-  // Hot-trace tier switch (see set_trace_engine_enabled) and counters.
-  // Promotion threshold: run-head visits before the loop starting there is
-  // lowered. High enough that cold code never pays the lowering cost, low
-  // enough that any loop worth measuring gets promoted almost immediately.
+  // Hot-trace promotion threshold: run-head visits before the loop starting
+  // there is lowered. High enough that cold code never pays the lowering
+  // cost, low enough that any loop worth measuring gets promoted almost
+  // immediately.
   static constexpr u16 kTraceHotThreshold = 16;
-  bool trace_engine_enabled_ = true;
   TraceStats trace_stats_;
   // One-entry fetch TLB pinning (linear page -> decoded physical page). An
   // entry is live only while both generation tags still match; TLB flushes

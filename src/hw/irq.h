@@ -4,11 +4,11 @@
 // retire boundaries.
 //
 // Determinism contract: every device event is keyed off the CPU's *cycle
-// counter*, which the decode-cache and D-TLB fast paths keep byte-identical
-// to the per-byte oracle. The CPU consults the hub only between retired
+// counter*, which every Engine and the D-TLB keep byte-identical to the
+// per-byte oracle. The CPU consults the hub only between retired
 // instructions, so interrupt delivery points — and therefore every
-// downstream architectural effect — are identical in all four
-// fast-path/oracle combinations.
+// downstream architectural effect — are identical in all eight engine ×
+// D-TLB modes.
 #ifndef SRC_HW_IRQ_H_
 #define SRC_HW_IRQ_H_
 

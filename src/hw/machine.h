@@ -12,12 +12,13 @@
 #ifndef SRC_HW_MACHINE_H_
 #define SRC_HW_MACHINE_H_
 
-#include <cstdlib>
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "src/hw/cpu.h"
 #include "src/hw/physical_memory.h"
+#include "src/hw/runtime_config.h"
 #include "src/hw/segment.h"
 #include "src/hw/types.h"
 
@@ -30,36 +31,36 @@ inline constexpr u32 kMaxCpus = 8;
 struct MachineConfig {
   u32 physical_memory_bytes = 64u << 20;  // 64 MB
   CycleModel cycle_model = CycleModel::Measured();
-  // Number of vCPUs. 0 = read PALLADIUM_SMP from the environment (default 1),
+  // Number of vCPUs. 0 = the environment's count (PALLADIUM_SMP, default 1),
   // so any existing harness can be re-run SMP without code changes; an
   // explicit value pins the count (tests asserting uniprocessor scheduling
   // order pass 1). Clamped to [1, kMaxCpus].
   u32 num_cpus = 0;
 };
 
+// The vCPU count a config's `num_cpus` resolves to. The environment is read
+// only for 0.
 inline u32 ResolveNumCpus(u32 requested) {
-  u32 n = requested;
-  if (n == 0) {
-    const char* env = std::getenv("PALLADIUM_SMP");
-    // Garbage or negative values mean "invalid", not "maximum": atoi yields
-    // <= 0 for both, which falls through to the uniprocessor default.
-    const int parsed = env != nullptr ? std::atoi(env) : 1;
-    n = parsed > 0 ? static_cast<u32>(parsed) : 1;
-  }
-  if (n == 0) n = 1;
-  return n > kMaxCpus ? kMaxCpus : n;
+  if (requested == 0) requested = RuntimeConfig::FromEnv().num_cpus;
+  return std::min(requested, kMaxCpus);
 }
 
 class Machine {
  public:
   using Config = MachineConfig;
 
+  // Reads the environment once (src/hw/runtime_config.h): the vCPU count
+  // when the config leaves it open, and the engine and D-TLB setting of
+  // every vCPU.
   explicit Machine(const Config& config = MachineConfig{})
       : pm_(config.physical_memory_bytes), gdt_(128), idt_(64) {
-    const u32 n = ResolveNumCpus(config.num_cpus);
+    const RuntimeConfig env = RuntimeConfig::FromEnv();
+    const u32 n = ResolveNumCpus(config.num_cpus != 0 ? config.num_cpus : env.num_cpus);
     cpus_.reserve(n);
     for (u32 i = 0; i < n; ++i) {
       cpus_.push_back(std::make_unique<Cpu>(pm_, gdt_, idt_, config.cycle_model));
+      cpus_.back()->set_engine(env.engine);
+      cpus_.back()->set_dtlb_enabled(env.dtlb);
     }
   }
 

@@ -1,7 +1,7 @@
 #include "src/hw/smp.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <stdexcept>
 
 namespace palladium {
 
@@ -73,11 +73,6 @@ void SmpInterleaver::Run(u64 cycle_limit, const StopHandler& on_stop) {
   }
 }
 
-bool HostThreadsEnabled() {
-  const char* v = std::getenv("PALLADIUM_HOST_THREADS");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 bool EpochBarrier::Arrive() {
   const u64 phase = phase_.load(std::memory_order_acquire);
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
@@ -109,13 +104,7 @@ ThreadedSmp::ThreadedSmp(Machine& machine, u64 epoch_cycles)
       parked_(machine.num_cpus()),
       lanes_(machine.num_cpus()),
       remote_(machine.num_cpus()) {
-  if (epoch_cycles_ == 0) {
-    epoch_cycles_ = kDefaultEpochCycles;
-    if (const char* v = std::getenv("PALLADIUM_EPOCH_CYCLES")) {
-      const u64 parsed = std::strtoull(v, nullptr, 10);
-      if (parsed > 0) epoch_cycles_ = parsed;
-    }
-  }
+  if (epoch_cycles_ == 0) throw std::invalid_argument("ThreadedSmp: epoch_cycles must be > 0");
 }
 
 void ThreadedSmp::AddEvent(u64 cycle, EventFn fn) {
@@ -264,17 +253,6 @@ void ThreadedSmp::Run(u64 cycle_limit, const StopHandler& on_stop) {
   }
   WorkerLoop(0, on_stop);  // the calling thread drives vCPU 0
   for (std::thread& t : threads) t.join();
-}
-
-void RunSmp(Machine& machine, u64 cycle_limit,
-            const SmpInterleaver::StopHandler& on_stop) {
-  if (HostThreadsEnabled() && machine.num_cpus() > 1) {
-    ThreadedSmp threaded(machine);
-    threaded.Run(cycle_limit, on_stop);
-  } else {
-    SmpInterleaver interleaver(machine);
-    interleaver.Run(cycle_limit, on_stop);
-  }
 }
 
 }  // namespace palladium

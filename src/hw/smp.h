@@ -10,11 +10,11 @@
 // overshoots by more than the one instruction the per-instruction path would
 // also retire — the resulting schedule is a deterministic retire-boundary
 // interleave: a pure function of program + initial state, independent of
-// host timing, and — because the block-engine, decode-cache and D-TLB fast
-// paths keep per-CPU cycle counters byte-identical to the per-byte oracle —
-// identical in every fast-path/oracle combination. That is what makes SMP
-// runs differential-testable with the same oracle discipline as the
-// uniprocessor (tests/cpu_property_test.cc, tests/smp_test.cc).
+// host timing, and — because every Engine and the D-TLB keep per-CPU cycle
+// counters byte-identical to the per-byte oracle — identical in all eight
+// engine × D-TLB modes. That is what makes SMP runs differential-testable
+// with the same oracle discipline as the uniprocessor
+// (tests/cpu_property_test.cc, tests/smp_test.cc).
 //
 // Host-side events (scripted PTE edits with cross-CPU shootdown, fault
 // injection, ...) register against a *global* cycle threshold and fire the
@@ -36,8 +36,8 @@
 // threaded mode reaches byte-identical final state, cycle counters and
 // event streams. Racy workloads get whatever the host memory system gives
 // them — the interleaver remains the oracle for those, which is why it
-// stays the default: threaded mode is opt-in via PALLADIUM_HOST_THREADS=1
-// (or the --host-threads flag on the benches).
+// stays the default: a caller gets threaded mode only by constructing a
+// ThreadedSmp.
 //
 // The kernel's Scheduler implements this same min-cycle discipline itself
 // (it needs scheduling decisions interleaved with the stepping); these
@@ -96,10 +96,6 @@ class SmpInterleaver {
   u64 next_seq_ = 0;
 };
 
-// True when PALLADIUM_HOST_THREADS is set to anything but "0": the opt-in
-// switch for the threaded SMP fast path. The interleaver stays the default.
-bool HostThreadsEnabled();
-
 // Sense-reversing rendezvous for one epoch generation. C++17 has no
 // std::barrier, and epochs are a few thousand *simulated* cycles (tens of
 // microseconds of host work), so the wait is a bounded spin on the phase
@@ -153,11 +149,12 @@ class ThreadedSmp {
   // "A few thousand simulated cycles": long enough to amortize the barrier
   // (a handful of microseconds) over tens of microseconds of simulation,
   // short enough that cross-CPU delivery latency stays bounded and IRQ-rich
-  // workloads don't starve. Overridable per-instance and via
-  // PALLADIUM_EPOCH_CYCLES for experiments.
+  // workloads don't starve.
   static constexpr u64 kDefaultEpochCycles = 4096;
 
-  explicit ThreadedSmp(Machine& machine, u64 epoch_cycles = 0);
+  // Throws std::invalid_argument for a zero epoch (the barrier grid is
+  // computed by dividing by it).
+  explicit ThreadedSmp(Machine& machine, u64 epoch_cycles = kDefaultEpochCycles);
 
   void AddEvent(u64 cycle, EventFn fn);
   void Park(u32 cpu_index) { parked_[cpu_index].store(true, std::memory_order_relaxed); }
@@ -199,7 +196,7 @@ class ThreadedSmp {
   void SerialBarrierWork(u64 cycle_limit);
 
   Machine& machine_;
-  u64 epoch_cycles_;
+  const u64 epoch_cycles_;
   EpochBarrier barrier_;
   std::vector<std::atomic<bool>> parked_;
   std::vector<PhysicalMemory::WriteLane> lanes_;
@@ -212,12 +209,6 @@ class ThreadedSmp {
   std::vector<std::vector<RemoteFn>> remote_;
   BarrierHook hook_;
 };
-
-// Dispatches to ThreadedSmp when PALLADIUM_HOST_THREADS is set (and the
-// machine has more than one vCPU), to the oracle interleaver otherwise.
-// Convenience for harnesses that only need the common Run/park surface.
-void RunSmp(Machine& machine, u64 cycle_limit,
-            const SmpInterleaver::StopHandler& on_stop);
 
 }  // namespace palladium
 

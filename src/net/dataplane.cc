@@ -1,11 +1,11 @@
 #include "src/net/dataplane.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/asm/assembler.h"
 #include "src/filter/filter.h"
+#include "src/hw/runtime_config.h"
 #include "src/net/packet.h"
 #include "src/obs/trace.h"
 
@@ -31,7 +31,7 @@ PacketDataplane::PacketDataplane(Kernel& kernel, KernelExtensionManager& kext, N
 PacketDataplane::PacketDataplane(Kernel& kernel, KernelExtensionManager& kext, Nic& nic,
                                  const Config& config)
     : kernel_(kernel), kext_(kext), nic_(nic), config_(config) {
-  if (std::getenv("PALLADIUM_NO_NAPI") != nullptr) {
+  if (!RuntimeConfig::FromEnv().napi) {
     // The switchable oracle: single queue, one IRQ per DMA'd frame, one
     // protected crossing per frame — the pipeline this PR replaced.
     // Differential tests assert identical served/dropped/match accounting

@@ -3,7 +3,7 @@
 // store into the *currently executing* block, cross-page fallthrough into a
 // just-remapped page, and an SMP invalidation landing while another vCPU is
 // mid-block — and retire-boundary equivalence with the per-instruction
-// oracle (PALLADIUM_NO_BLOCKS analogue: Cpu::set_block_engine_enabled).
+// oracle (Engine::kBlock vs Engine::kInsn; PALLADIUM_NO_BLOCKS analogue).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -69,10 +69,10 @@ struct EngineResult {
 
 // Runs `bytes` at kCodeBase on a fresh machine with the block engine on or
 // off and returns the final architectural state.
-EngineResult RunProgram(const std::vector<u8>& bytes, bool blocks,
+EngineResult RunProgram(const std::vector<u8>& bytes, Engine engine,
                         u64 cycle_limit = 1'000'000) {
   BareMachine bm;
-  bm.cpu().set_block_engine_enabled(blocks);
+  bm.cpu().set_engine(engine);
   EXPECT_TRUE(bm.pm().WriteBlock(kCodeBase, bytes.data(), static_cast<u32>(bytes.size())));
   bm.Start(kCodeBase, 0, kStackTop);
   EngineResult r;
@@ -111,8 +111,8 @@ TEST(BlockEngine, SelfModifyingStoreIntoCurrentBlockExecutesNewCode) {
       Hlt(),
   };
   const std::vector<u8> bytes = Encode(program);
-  EngineResult block = RunProgram(bytes, /*blocks=*/true);
-  EngineResult insn = RunProgram(bytes, /*blocks=*/false);
+  EngineResult block = RunProgram(bytes, Engine::kBlock);
+  EngineResult insn = RunProgram(bytes, Engine::kInsn);
   EXPECT_EQ(block.stop.reason, StopReason::kHalted);
   EXPECT_EQ(block.ctx.regs[static_cast<u8>(Reg::kEdi)], 2u)
       << "patched instruction must execute its new bytes";
@@ -126,10 +126,10 @@ TEST(BlockEngine, SelfModifyingStoreIntoCurrentBlockExecutesNewCode) {
 TEST(BlockEngine, CrossPageFallthroughIntoRemappedPage) {
   constexpr u32 kPageA = kCodeBase;            // 0x10000
   constexpr u32 kPageB = kCodeBase + kPageSize;  // 0x11000, remapped mid-run
-  auto run = [&](bool blocks) {
+  auto run = [&](Engine engine) {
     BareMachine bm;
     Machine& m = bm.machine();
-    bm.cpu().set_block_engine_enabled(blocks);
+    bm.cpu().set_engine(engine);
 
     // Page A: a long straight-line run (eax += 1 each) that falls through
     // into page B.
@@ -171,8 +171,8 @@ TEST(BlockEngine, CrossPageFallthroughIntoRemappedPage) {
     return r;
   };
 
-  EngineResult block = run(/*blocks=*/true);
-  EngineResult insn = run(/*blocks=*/false);
+  EngineResult block = run(Engine::kBlock);
+  EngineResult insn = run(Engine::kInsn);
   EXPECT_EQ(block.stop.reason, StopReason::kHalted);
   EXPECT_EQ(block.ctx.regs[static_cast<u8>(Reg::kEdi)], 2u)
       << "fallthrough must fetch through the remapped translation";
@@ -190,12 +190,12 @@ TEST(BlockEngine, SmpInvalidationMidBlockRefetchesNewCode) {
   // vCPU 0 retires ~1 cycle/insn, so at global cycle 100 it is mid-page,
   // inside a block, and still before the patched tail (slots 128..255).
   constexpr u32 kPatchCycle = 100;
-  auto run = [&](bool blocks) {
+  auto run = [&](Engine engine) {
     BareMachineConfig config;
     config.num_cpus = 2;
     BareMachine bm(config);
     Machine& m = bm.machine();
-    for (u32 c = 0; c < 2; ++c) m.cpu(c).set_block_engine_enabled(blocks);
+    for (u32 c = 0; c < 2; ++c) m.cpu(c).set_engine(engine);
 
     // vCPU 0: a long straight-line page of `add $1, %eax`, then hlt on the
     // next page. The patch event rewrites the tail of the page (slots
@@ -241,8 +241,8 @@ TEST(BlockEngine, SmpInvalidationMidBlockRefetchesNewCode) {
     return r;
   };
 
-  auto block = run(/*blocks=*/true);
-  auto insn = run(/*blocks=*/false);
+  auto block = run(Engine::kBlock);
+  auto insn = run(Engine::kInsn);
   // The patch fired at cycle 200 with vCPU 0 inside the page (1 cycle/insn,
   // interleaved with vCPU 1), so the final EAX must mix old (+1) and new
   // (+100) increments: strictly more than 256 plain increments, and the
@@ -262,9 +262,9 @@ TEST(BlockEngine, SmpInvalidationMidBlockRefetchesNewCode) {
 }
 
 // Retire-boundary equivalence under arbitrary cycle-limit slices: blocks
-// must end early at the frontier, so stepping a program in small slices
-// lands on exactly the same (cycles, EIP) staircase as the per-instruction
-// engine.
+// and (once the loop goes hot) traces must end early at the frontier, so
+// stepping a program in small slices lands on exactly the same (cycles, EIP)
+// staircase as the per-instruction engine.
 TEST(BlockEngine, CycleLimitSlicesLandOnIdenticalBoundaries) {
   std::vector<Insn> program;
   Insn init = MovRI(Reg::kEcx, 50);
@@ -286,26 +286,35 @@ TEST(BlockEngine, CycleLimitSlicesLandOnIdenticalBoundaries) {
   program.push_back(Hlt());
   const std::vector<u8> bytes = Encode(program);
 
-  for (u64 slice : {1ull, 7ull, 23ull, 64ull}) {
-    BareMachine bm_block, bm_insn;
-    bm_block.cpu().set_block_engine_enabled(true);
-    bm_insn.cpu().set_block_engine_enabled(false);
-    for (BareMachine* bm : {&bm_block, &bm_insn}) {
-      ASSERT_TRUE(bm->pm().WriteBlock(kCodeBase, bytes.data(), static_cast<u32>(bytes.size())));
-      bm->Start(kCodeBase, 0, kStackTop);
+  for (Engine engine : {Engine::kBlock, Engine::kTrace}) {
+    for (u64 slice : {1ull, 7ull, 23ull, 64ull}) {
+      SCOPED_TRACE(engine == Engine::kTrace ? "trace" : "block");
+      BareMachine bm_fast, bm_insn;
+      bm_fast.cpu().set_engine(engine);
+      bm_insn.cpu().set_engine(Engine::kInsn);
+      for (BareMachine* bm : {&bm_fast, &bm_insn}) {
+        ASSERT_TRUE(bm->pm().WriteBlock(kCodeBase, bytes.data(), static_cast<u32>(bytes.size())));
+        bm->Start(kCodeBase, 0, kStackTop);
+      }
+      for (int step = 0; step < 10'000; ++step) {
+        const u64 limit = bm_fast.cpu().cycles() + slice;
+        StopInfo a = bm_fast.Run(limit);
+        StopInfo b = bm_insn.Run(limit);
+        ASSERT_EQ(a.reason, b.reason) << "slice " << slice << " step " << step;
+        ASSERT_EQ(bm_fast.cpu().cycles(), bm_insn.cpu().cycles())
+            << "slice " << slice << " step " << step;
+        ASSERT_EQ(bm_fast.cpu().eip(), bm_insn.cpu().eip());
+        ASSERT_EQ(bm_fast.cpu().instructions_retired(), bm_insn.cpu().instructions_retired());
+        if (a.reason == StopReason::kHalted) break;
+      }
+      EXPECT_EQ(bm_fast.cpu().reg(Reg::kEax), bm_insn.cpu().reg(Reg::kEax));
+      if (engine == Engine::kTrace) {
+        // The loop goes hot under every slice; only slices wider than one
+        // iteration's worst-case cost can enter the trace.
+        EXPECT_EQ(bm_fast.cpu().trace_stats().promotions, 1u);
+        if (slice == 64) EXPECT_GT(bm_fast.cpu().trace_stats().uop_insns, 0u);
+      }
     }
-    for (int step = 0; step < 10'000; ++step) {
-      const u64 limit = bm_block.cpu().cycles() + slice;
-      StopInfo a = bm_block.Run(limit);
-      StopInfo b = bm_insn.Run(limit);
-      ASSERT_EQ(a.reason, b.reason) << "slice " << slice << " step " << step;
-      ASSERT_EQ(bm_block.cpu().cycles(), bm_insn.cpu().cycles())
-          << "slice " << slice << " step " << step;
-      ASSERT_EQ(bm_block.cpu().eip(), bm_insn.cpu().eip());
-      ASSERT_EQ(bm_block.cpu().instructions_retired(), bm_insn.cpu().instructions_retired());
-      if (a.reason == StopReason::kHalted) break;
-    }
-    EXPECT_EQ(bm_block.cpu().reg(Reg::kEax), bm_insn.cpu().reg(Reg::kEax));
   }
 }
 
@@ -316,11 +325,10 @@ TEST(BlockEngine, LoopChainsWithoutLeavingDispatch) {
   BareMachine bm;
   // This test is about the engine itself; override the PALLADIUM_NO_BLOCKS
   // oracle so it still observes block dispatch under the CI oracle matrix,
-  // and pin the trace tier off — once the loop goes hot the trace executor
-  // iterates in place without chaining, which is exactly what this test
-  // must not measure.
-  bm.cpu().set_block_engine_enabled(true);
-  bm.cpu().set_trace_engine_enabled(false);
+  // and stop below the trace tier — once the loop goes hot the trace
+  // executor iterates in place without chaining, which is exactly what this
+  // test must not measure.
+  bm.cpu().set_engine(Engine::kBlock);
   std::string diag;
   auto img = bm.LoadProgram(R"(
   .global main
@@ -347,7 +355,7 @@ loop:
 // The engine switch really selects the per-instruction path.
 TEST(BlockEngine, DisabledEngineRetiresNothingInBlockDispatch) {
   BareMachine bm;
-  bm.cpu().set_block_engine_enabled(false);
+  bm.cpu().set_engine(Engine::kInsn);
   std::string diag;
   auto img = bm.LoadProgram(R"(
   .global main

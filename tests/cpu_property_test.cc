@@ -338,10 +338,21 @@ TEST(DtlbDifferential, FastAndSlowPathsAgreeOnRandomPrograms) {
 // keyed off the cycle counter at retire boundaries, so ALL architectural
 // effects — registers, memory (ISR counters, interrupt frames), cycles,
 // fault stream AND interrupt stream — must be identical in the eight
-// engine configurations: (block engine on/off) x (decode cache on/off) x
-// (D-TLB on/off). (Blocks require the decode cache; the blocks-on/decode-off
-// configs degenerate to the per-instruction path and pin that the switch
-// interplay stays exact.)
+// distinct modes: Engine {trace, block, insn, oracle} x D-TLB {on, off}.
+
+// Every distinct (engine x D-TLB) mode; the first is the reference the
+// differential fuzzes compare every other mode against.
+struct EngineMode {
+  Engine engine;
+  bool dtlb;
+  const char* name;
+};
+constexpr EngineMode kEngineModes[] = {
+    {Engine::kTrace, true, "trace/dtlb"},   {Engine::kTrace, false, "trace/no-dtlb"},
+    {Engine::kBlock, true, "block/dtlb"},   {Engine::kBlock, false, "block/no-dtlb"},
+    {Engine::kInsn, true, "insn/dtlb"},     {Engine::kInsn, false, "insn/no-dtlb"},
+    {Engine::kOracle, true, "oracle/dtlb"}, {Engine::kOracle, false, "oracle/no-dtlb"},
+};
 
 class ScriptedIrqDevice : public IrqDevice {
  public:
@@ -406,16 +417,14 @@ struct IrqDiffRun {
   u64 trace_promotions = 0;  // engine counter: never compared across modes
 };
 
-IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode, bool blocks,
-                              bool trace, bool decode_cache, bool dtlb, u64 timer_period,
+IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode,
+                              const EngineMode& em, u64 timer_period,
                               const std::vector<u64>& nic_times) {
   BareMachineConfig config;
   config.physical_memory_bytes = kFuzzMem;
   BareMachine bm(config);
-  bm.cpu().set_block_engine_enabled(blocks);
-  bm.cpu().set_trace_engine_enabled(trace);
-  bm.cpu().set_decode_cache_enabled(decode_cache);
-  bm.cpu().set_dtlb_enabled(dtlb);
+  bm.cpu().set_engine(em.engine);
+  bm.cpu().set_dtlb_enabled(em.dtlb);
   // Telemetry fully on: observation must be free in simulated time, so the
   // differential assertions below hold with the recorder and profiler
   // attached. Capacity is sized so nothing wraps (engine-event counts differ
@@ -483,7 +492,7 @@ IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode, boo
   return out;
 }
 
-TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
+TEST(IrqDifferential, AllEightModesAgreeUnderRandomInterrupts) {
   constexpr u32 kSeeds = 16;
   constexpr u32 kIterations = 300;
   constexpr u32 kBodyLen = 160;
@@ -502,44 +511,16 @@ TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
       nic_times.push_back(t);
     }
 
-    struct ModeSpec {
-      bool blocks, trace, decode, dtlb;
-      const char* name;
-    };
-    // Full 16-mode cross: engine (block/insn) x trace tier (hot/off) x
-    // decode cache x D-TLB. The trace axis is inert without the block
-    // engine and decode cache (the tier is entered from RunBlock over a
-    // decoded page), but the inert combinations still pin down that merely
-    // enabling the tier changes nothing.
-    const ModeSpec specs[] = {{true, true, true, true, "block+trace/fast/fast"},
-                              {true, true, true, false, "block+trace/fast/oracle"},
-                              {true, true, false, true, "block+trace/oracle/fast"},
-                              {true, true, false, false, "block+trace/oracle/oracle"},
-                              {true, false, true, true, "block/fast/fast"},
-                              {true, false, true, false, "block/fast/oracle"},
-                              {true, false, false, true, "block/oracle/fast"},
-                              {true, false, false, false, "block/oracle/oracle"},
-                              {false, true, true, true, "insn+trace/fast/fast"},
-                              {false, true, true, false, "insn+trace/fast/oracle"},
-                              {false, true, false, true, "insn+trace/oracle/fast"},
-                              {false, true, false, false, "insn+trace/oracle/oracle"},
-                              {false, false, true, true, "insn/fast/fast"},
-                              {false, false, true, false, "insn/fast/oracle"},
-                              {false, false, false, true, "insn/oracle/fast"},
-                              {false, false, false, false, "insn/oracle/oracle"}};
     IrqDiffRun ref;
-    for (int s = 0; s < 16; ++s) {
-      IrqDiffRun run = RunDifferentialIrq(program, mode, specs[s].blocks, specs[s].trace,
-                                          specs[s].decode, specs[s].dtlb, timer_period,
-                                          nic_times);
-      SCOPED_TRACE("seed " + std::to_string(seed) + " config " + specs[s].name);
+    for (const EngineMode& em : kEngineModes) {
+      IrqDiffRun run = RunDifferentialIrq(program, mode, em, timer_period, nic_times);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " config " + em.name);
       // The top-tested loop spans several runs: only loop lowering can
       // promote it, and the differential must actually exercise that.
-      if (specs[s].blocks && specs[s].trace && specs[s].decode &&
-          FuzzLoopIsTopTested(program_seed)) {
+      if (em.engine == Engine::kTrace && FuzzLoopIsTopTested(program_seed)) {
         EXPECT_GT(run.trace_promotions, 0u) << "the top-tested loop must promote";
       }
-      if (s == 0) {
+      if (&em == &kEngineModes[0]) {
         ref = std::move(run);
         // Forward branches can shorten a seed's run; at least one delivery
         // per seed plus a healthy aggregate (checked below) keeps the fuzz
@@ -576,10 +557,11 @@ TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
         EXPECT_EQ(run.ctx.regs[r], ref.ctx.regs[r]) << "reg " << static_cast<int>(r);
       }
       // TLB statistics are an implementation counter of the *fetch* path:
-      // they match whenever the decode-cache setting matches (the D-TLB
-      // keeps them exact by construction); across decode settings only the
-      // miss count is comparable.
-      if (specs[s].decode == specs[0].decode) {
+      // they match whenever both modes fetch from decoded pages, as the
+      // reference does (the D-TLB keeps them exact by construction); against
+      // the per-byte fetch of the oracle engine only the miss count is
+      // comparable.
+      if (em.engine != Engine::kOracle) {
         EXPECT_EQ(run.tlb_hits, ref.tlb_hits);
       }
       EXPECT_EQ(run.tlb_misses, ref.tlb_misses);
@@ -599,8 +581,8 @@ TEST(IrqDifferential, AllSixteenModesAgreeUnderRandomInterrupts) {
 // every core (the kernel shootdown protocol, driven by hand). Because per-CPU
 // cycle counters are byte-identical with the fast paths on or off, the whole
 // interleave — and therefore every per-vCPU register file, fault stream,
-// cycle count and the shared memory image — must be identical in all four
-// (decode cache × D-TLB) configurations, for N ∈ {1, 2, 4}.
+// cycle count and the shared memory image — must be identical in all eight
+// (engine × D-TLB) modes, for N ∈ {1, 2, 4}.
 
 constexpr u32 kSmpCodeStride = 0x8000;  // per-vCPU program base spacing
 // Per-vCPU stacks, one page each. Geometry rule: no page a *data* access
@@ -632,8 +614,7 @@ struct SmpDiffRun {
 };
 
 SmpDiffRun RunSmpDifferential(const std::vector<std::vector<u8>>& programs, FuzzMode mode,
-                              bool blocks, bool trace, bool decode_cache, bool dtlb,
-                              const std::vector<u64>& shootdown_cycles) {
+                              const EngineMode& em, const std::vector<u64>& shootdown_cycles) {
   const u32 n = static_cast<u32>(programs.size());
   BareMachineConfig config;
   config.physical_memory_bytes = kFuzzMem;
@@ -648,10 +629,8 @@ SmpDiffRun RunSmpDifferential(const std::vector<std::vector<u8>>& programs, Fuzz
   obs::CycleProfile profiler;
   profiler.Reset(n, m.cpu(0).cycle_model().tlb_miss_penalty);
   for (u32 c = 0; c < n; ++c) {
-    m.cpu(c).set_block_engine_enabled(blocks);
-    m.cpu(c).set_trace_engine_enabled(trace);
-    m.cpu(c).set_decode_cache_enabled(decode_cache);
-    m.cpu(c).set_dtlb_enabled(dtlb);
+    m.cpu(c).set_engine(em.engine);
+    m.cpu(c).set_dtlb_enabled(em.dtlb);
     m.cpu(c).set_recorder(&recorder, c);
     m.cpu(c).set_profiler(&profiler, c);
   }
@@ -747,48 +726,12 @@ TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
                                                    kFuzzDataBase, kFuzzDataSpan));
       }
 
-      struct ModeSpec {
-        bool blocks, trace, decode, dtlb;
-        const char* name;
-      };
-      // Full 16-mode cross at N=1; the block-engine and trace-tier
-      // dimensions are spot-checked against the per-instruction and
-      // full-oracle configurations at N=2/4 (each extra SMP mode multiplies
-      // the interleaved run count).
-      const ModeSpec uni_specs[] = {
-          {true, true, true, true, "block+trace/fast/fast"},
-          {true, true, true, false, "block+trace/fast/oracle"},
-          {true, true, false, true, "block+trace/oracle/fast"},
-          {true, true, false, false, "block+trace/oracle/oracle"},
-          {true, false, true, true, "block/fast/fast"},
-          {true, false, true, false, "block/fast/oracle"},
-          {true, false, false, true, "block/oracle/fast"},
-          {true, false, false, false, "block/oracle/oracle"},
-          {false, true, true, true, "insn+trace/fast/fast"},
-          {false, true, true, false, "insn+trace/fast/oracle"},
-          {false, true, false, true, "insn+trace/oracle/fast"},
-          {false, true, false, false, "insn+trace/oracle/oracle"},
-          {false, false, true, true, "insn/fast/fast"},
-          {false, false, true, false, "insn/fast/oracle"},
-          {false, false, false, true, "insn/oracle/fast"},
-          {false, false, false, false, "insn/oracle/oracle"}};
-      const ModeSpec smp_specs[] = {
-          {true, true, true, true, "block+trace/fast/fast"},
-          {true, true, true, false, "block+trace/fast/oracle"},
-          {true, false, true, true, "block/fast/fast"},
-          {true, false, true, false, "block/fast/oracle"},
-          {false, true, true, true, "insn+trace/fast/fast"},
-          {false, false, true, true, "insn/fast/fast"},
-          {false, false, false, false, "insn/oracle/oracle"}};
-      const ModeSpec* specs = n == 1 ? uni_specs : smp_specs;
-      const int num_specs = n == 1 ? 16 : 7;
       SmpDiffRun ref;
-      for (int s = 0; s < num_specs; ++s) {
-        SmpDiffRun run = RunSmpDifferential(programs, mode, specs[s].blocks, specs[s].trace,
-                                            specs[s].decode, specs[s].dtlb, shootdowns);
+      for (const EngineMode& em : kEngineModes) {
+        SmpDiffRun run = RunSmpDifferential(programs, mode, em, shootdowns);
         SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n) +
-                     " config " + specs[s].name);
-        if (specs[s].blocks && specs[s].trace && specs[s].decode) {
+                     " config " + em.name);
+        if (em.engine == Engine::kTrace) {
           for (u32 c = 0; c < n; ++c) {
             if (top_tested[c]) {
               EXPECT_GT(run.cpus[c].trace_promotions, 0u)
@@ -796,7 +739,7 @@ TEST(SmpDifferential, AllModesAgreePerVcpuUnderSharedMemoryAndShootdowns) {
             }
           }
         }
-        if (s == 0) {
+        if (&em == &kEngineModes[0]) {
           ref = std::move(run);
           for (u32 c = 0; c < n; ++c) {
             EXPECT_GE(ref.cpus[c].instructions, 1'000u)

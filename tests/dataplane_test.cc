@@ -5,12 +5,11 @@
 // flowing on other flows; and the interrupt-driven multi-worker web server.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "src/asm/assembler.h"
 #include "src/core/kernel_ext.h"
 #include "src/filter/filter.h"
 #include "src/hw/nic.h"
+#include "src/hw/runtime_config.h"
 #include "src/kernel/sched.h"
 #include "src/net/dataplane.h"
 #include "src/net/packet.h"
@@ -350,7 +349,7 @@ TEST(Dataplane, NapiBatchedPathMatchesOracleAccounting) {
   EXPECT_EQ(fast.stats.rx_frames, 60u);
   EXPECT_EQ(fast.stats.dropped_queue_full, 0u);
 
-  if (std::getenv("PALLADIUM_NO_NAPI") == nullptr) {
+  if (RuntimeConfig::FromEnv().napi) {
     // And the fast path actually ran fast: batched crossings, fewer IRQs.
     EXPECT_GT(fast.stats.filter_batches, 0u);
     EXPECT_LT(fast.stats.filter_invocations, oracle.stats.filter_invocations);
@@ -387,7 +386,7 @@ TEST(Dataplane, OverflowAccountingMatchesOracleUnderBurst) {
 // spreads wire flows across queues and every queue interrupts its own core's
 // local PIC — no core is a dataplane bottleneck or bystander.
 TEST(Dataplane, MultiQueueRssSpreadsIrqsAcrossCores) {
-  if (std::getenv("PALLADIUM_NO_NAPI") != nullptr) {
+  if (!RuntimeConfig::FromEnv().napi) {
     GTEST_SKIP() << "oracle mode forces a single queue";
   }
   KernelFixture f(4);

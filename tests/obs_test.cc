@@ -9,7 +9,6 @@
 // same served/cycles numbers as a bare one.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "src/rpc/rpc.h"
 #include "src/sfi/sfi.h"
 #include "src/web/server_sim.h"
+#include "tests/env_util.h"
 
 namespace palladium {
 namespace {
@@ -187,11 +187,12 @@ void ExpectArchStreamModeInvariant(u32 smp) {
                           "PALLADIUM_NO_DTLB"};
   for (const char* mode : kModes) {
     // The engines latch their env switches at machine construction, which
-    // happens inside RunMultiWorkerServer — set before, clear after.
-    ::setenv(mode, "1", 1);
+    // happens inside RunMultiWorkerServer.
     ObservedRun oracle;
-    RunObserved(SmallConfig(smp), &oracle);
-    ::unsetenv(mode);
+    {
+      ScopedEnv oracle_switch(mode, "1");
+      RunObserved(SmallConfig(smp), &oracle);
+    }
 
     ASSERT_EQ(oracle.recorder.num_tracks(), baseline.recorder.num_tracks()) << mode;
     for (u32 t = 0; t < baseline.recorder.num_tracks(); ++t) {

@@ -235,10 +235,9 @@ buf:
   ASSERT_TRUE(rewritten.has_value()) << diag;
   ASSERT_GT(stats.sandboxed_memory_ops, 0u);
 
-  auto run = [&](bool blocks, bool trace, u64* promotions) -> u32 {
+  auto run = [&](Engine engine, u64* promotions) -> u32 {
     BareMachine bm;
-    bm.cpu().set_block_engine_enabled(blocks);
-    bm.cpu().set_trace_engine_enabled(trace);
+    bm.cpu().set_engine(engine);
     LinkError lerr;
     auto img = LinkImage(*rewritten, kSandboxBase, {}, &lerr);
     EXPECT_TRUE(img.has_value()) << lerr.message;
@@ -250,8 +249,8 @@ buf:
     return bm.cpu().reg(Reg::kEsi);
   };
   u64 oracle_promotions = 0, traced_promotions = 0;
-  const u32 oracle = run(false, false, &oracle_promotions);
-  const u32 traced = run(true, true, &traced_promotions);
+  const u32 oracle = run(Engine::kInsn, &oracle_promotions);
+  const u32 traced = run(Engine::kTrace, &traced_promotions);
   EXPECT_EQ(oracle, 20100u);  // sum 1..200
   EXPECT_EQ(traced, oracle) << "trace tier diverges on SFI-rewritten code";
   EXPECT_EQ(oracle_promotions, 0u);

@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/kernel_ext.h"
@@ -216,23 +218,29 @@ main:
 
 // CPU 1 overwrites an instruction in CPU 0's (already decoded) text; the
 // write-observer fan-out must kill CPU 0's decoded page so it executes the
-// new bytes — identically in all four fast/slow configurations.
+// new bytes — identically on every engine, each with the D-TLB on and off.
 TEST(Smp, CrossCpuCodeWriteInvalidatesEveryDecodeCache) {
   constexpr u32 kCpu0Base = 0x10000;
   constexpr u32 kCpu1Base = 0x40000;
   constexpr u32 kAdds = 1000;
-  constexpr u32 kPatchIndex = 600;  // instruction slot CPU 1 rewrites to hlt
+  // Instruction slot CPU 1 rewrites to hlt: on CPU 0's first code page, so
+  // the page is already decoded (and inside a block) when the store lands.
+  constexpr u32 kPatchIndex = 200;
 
   u64 ref_cycles0 = 0, ref_cycles1 = 0;
   bool have_ref = false;
-  for (bool decode : {true, false}) {
+  const std::pair<Engine, const char*> engines[] = {{Engine::kTrace, "trace"},
+                                                    {Engine::kBlock, "block"},
+                                                    {Engine::kInsn, "insn"},
+                                                    {Engine::kOracle, "oracle"}};
+  for (const auto& [engine, engine_name] : engines) {
     for (bool dtlb : {true, false}) {
       BareMachineConfig cfg;
       cfg.num_cpus = 2;
       BareMachine bm(cfg);
       Machine& m = bm.machine();
       for (u32 c = 0; c < 2; ++c) {
-        m.cpu(c).set_decode_cache_enabled(decode);
+        m.cpu(c).set_engine(engine);
         m.cpu(c).set_dtlb_enabled(dtlb);
       }
 
@@ -287,8 +295,7 @@ TEST(Smp, CrossCpuCodeWriteInvalidatesEveryDecodeCache) {
         return false;
       });
 
-      SCOPED_TRACE(std::string("decode=") + (decode ? "on" : "off") + " dtlb=" +
-                   (dtlb ? "on" : "off"));
+      SCOPED_TRACE(std::string("engine=") + engine_name + " dtlb=" + (dtlb ? "on" : "off"));
       // CPU 1's stores land (deterministically) while CPU 0 is still well
       // below the patched slot, so CPU 0 executes adds 1..kPatchIndex-1 and
       // then the freshly written hlt — never the stale decoded add.
@@ -584,6 +591,16 @@ main:
 }
 
 // --- Threaded SMP: staged cross-CPU delivery -----------------------------------
+
+// The barrier grid is computed by dividing by the epoch, so a zero epoch is
+// refused at construction; the default is kDefaultEpochCycles.
+TEST(ThreadedSmp, EpochDefaultsAndRejectsZero) {
+  BareMachineConfig cfg;
+  cfg.num_cpus = 2;
+  BareMachine bm(cfg);
+  EXPECT_EQ(ThreadedSmp(bm.machine()).epoch_cycles(), ThreadedSmp::kDefaultEpochCycles);
+  EXPECT_THROW(ThreadedSmp(bm.machine(), 0), std::invalid_argument);
+}
 
 // Mid-epoch staged TLB shootdown: work staged from one vCPU's thread while
 // the epoch is in flight must be applied to the sibling no later than the

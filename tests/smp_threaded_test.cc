@@ -28,12 +28,8 @@
 // generation/change counters and the per-track observability sinks.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/hw/bare_machine.h"
@@ -138,9 +134,7 @@ void SetUpRig(Rig& rig, const std::vector<std::vector<u8>>& programs, bool hosti
   rig.recorder.Reset(n, 1u << 16);
   rig.profiler.Reset(n, m.cpu(0).cycle_model().tlb_miss_penalty);
   for (u32 c = 0; c < n; ++c) {
-    m.cpu(c).set_block_engine_enabled(true);
-    m.cpu(c).set_trace_engine_enabled(true);
-    m.cpu(c).set_decode_cache_enabled(true);
+    m.cpu(c).set_engine(Engine::kTrace);
     m.cpu(c).set_dtlb_enabled(true);
     m.cpu(c).set_recorder(&rig.recorder, c);
     m.cpu(c).set_profiler(&rig.profiler, c);
@@ -388,44 +382,6 @@ TEST(ThreadedSmpDifferential, ThreadedRunsAreReproducible) {
   DiffRun a = RunThreaded(programs, /*hostile=*/true, /*cpl=*/3, shootdowns);
   DiffRun b = RunThreaded(programs, /*hostile=*/true, /*cpl=*/3, shootdowns);
   ExpectRunsEqual(a, b);
-}
-
-// The opt-in switch: RunSmp dispatches to ThreadedSmp when
-// PALLADIUM_HOST_THREADS is set to anything but "0" (and the machine is
-// SMP), and to the oracle interleaver otherwise. The harness choice is
-// observable from the stop handler: the interleaver runs every handler on
-// the calling thread, ThreadedSmp runs each vCPU's handler on that vCPU's
-// own host thread.
-TEST(ThreadedSmpDispatch, HostThreadsEnvSelectsTheHarness) {
-  std::vector<std::vector<u8>> programs;
-  for (u32 c = 0; c < 2; ++c) programs.push_back(BuildProgram(7, c));
-
-  const auto distinct_stop_threads = [&programs]() {
-    Rig rig(2);
-    SetUpRig(rig, programs, /*hostile=*/false, /*cpl=*/0);
-    Machine& m = rig.bm.machine();
-    std::vector<CpuResult> cpus(2);
-    const SmpInterleaver::StopHandler inner = MakeStopHandler(m, cpus, programs);
-    std::mutex mu;
-    std::set<std::thread::id> ids;
-    RunSmp(m, kCycleLimit, [&](u32 c, const StopInfo& stop) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ids.insert(std::this_thread::get_id());
-      }
-      return inner(c, stop);
-    });
-    for (u32 c = 0; c < 2; ++c) EXPECT_EQ(cpus[c].final_reason, StopReason::kHalted);
-    return ids.size();
-  };
-
-  ASSERT_EQ(unsetenv("PALLADIUM_HOST_THREADS"), 0);
-  EXPECT_EQ(distinct_stop_threads(), 1u) << "default must be the interleaver";
-  ASSERT_EQ(setenv("PALLADIUM_HOST_THREADS", "1", 1), 0);
-  EXPECT_EQ(distinct_stop_threads(), 2u) << "opt-in must give one host thread per vCPU";
-  ASSERT_EQ(setenv("PALLADIUM_HOST_THREADS", "0", 1), 0);
-  EXPECT_EQ(distinct_stop_threads(), 1u) << "\"0\" must mean off";
-  unsetenv("PALLADIUM_HOST_THREADS");
 }
 
 }  // namespace

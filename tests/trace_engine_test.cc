@@ -4,20 +4,21 @@
 // invalidation edges the tier must get exactly right — a self-modifying
 // store executing *inside* the hot trace, and an SMP remote store retiring
 // the trace's page mid-loop — plus lazy-flags exactness at a fault boundary,
-// cycle-limit slicing, the flight recorder's engine events and the
-// engine/env switches.
+// cycle-limit slicing, the flight recorder's engine events, and the
+// RuntimeConfig table that maps every env switch to an engine setting.
 // Everywhere, the block engine with the tier disabled is the in-binary
 // differential oracle: registers, memory, cycles, TLB statistics, fault
 // streams must be byte-identical with the tier on or off.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 
 #include "src/hw/bare_machine.h"
+#include "src/hw/runtime_config.h"
 #include "src/hw/smp.h"
 #include "src/obs/trace.h"
+#include "tests/env_util.h"
 
 namespace palladium {
 namespace {
@@ -43,8 +44,7 @@ TraceRunResult RunWithTrace(const std::string& source, bool trace,
                             u64 cycle_limit = 10'000'000,
                             obs::FlightRecorder* recorder = nullptr) {
   BareMachine bm;
-  bm.cpu().set_block_engine_enabled(true);
-  bm.cpu().set_trace_engine_enabled(trace);
+  bm.cpu().set_engine(trace ? Engine::kTrace : Engine::kBlock);
   if (recorder != nullptr) bm.cpu().set_recorder(recorder, 0);
   std::string diag;
   auto img = bm.LoadProgram(source, kCodeBase, &diag);
@@ -150,26 +150,54 @@ loop:
   EXPECT_EQ(on.trace.uop_insns, 0u);
 }
 
-// PALLADIUM_NO_TRACE=1 disables the tier at construction, exactly like
-// set_trace_engine_enabled(false). The suite itself may run under the
-// oracle switch, so the caller's setting is saved and restored.
-TEST(TraceEngine, EnvSwitchDisablesTraceTier) {
-  const char* outer = std::getenv("PALLADIUM_NO_TRACE");
-  const std::string saved = outer != nullptr ? outer : "";
-  ::unsetenv("PALLADIUM_NO_TRACE");
-  {
-    BareMachine bm;
-    EXPECT_TRUE(bm.cpu().trace_engine_enabled()) << "tier defaults to on";
+// One rule for every boolean switch — unset, empty or "0" is off, anything
+// else is on — in RuntimeConfig, and one clamp for PALLADIUM_SMP in
+// ResolveNumCpus. Every variable is pinned for the test and the caller's
+// value restored, so the table holds under any CI leg.
+TEST(RuntimeConfig, EverySwitchParsesByOneRule) {
+  ScopedEnv no_blocks("PALLADIUM_NO_BLOCKS", nullptr);
+  ScopedEnv no_trace("PALLADIUM_NO_TRACE", nullptr);
+  ScopedEnv no_dtlb("PALLADIUM_NO_DTLB", nullptr);
+  ScopedEnv no_napi("PALLADIUM_NO_NAPI", nullptr);
+  ScopedEnv smp("PALLADIUM_SMP", nullptr);
+
+  const struct {
+    const char* name;
+    bool (*on)(const RuntimeConfig&);
+  } flags[] = {
+      {"PALLADIUM_NO_BLOCKS", [](const RuntimeConfig& rc) { return rc.engine == Engine::kInsn; }},
+      {"PALLADIUM_NO_TRACE", [](const RuntimeConfig& rc) { return rc.engine == Engine::kBlock; }},
+      {"PALLADIUM_NO_DTLB", [](const RuntimeConfig& rc) { return !rc.dtlb; }},
+      {"PALLADIUM_NO_NAPI", [](const RuntimeConfig& rc) { return !rc.napi; }},
+  };
+  const struct {
+    const char* value;  // nullptr = unset
+    bool on;
+  } values[] = {{nullptr, false}, {"", false}, {"0", false}, {"1", true}};
+  for (const auto& flag : flags) {
+    for (const auto& v : values) {
+      ScopedEnv set(flag.name, v.value);
+      SCOPED_TRACE(std::string(flag.name) + "=" + (v.value != nullptr ? v.value : "<unset>"));
+      EXPECT_EQ(flag.on(RuntimeConfig::FromEnv()), v.on);
+    }
   }
-  ::setenv("PALLADIUM_NO_TRACE", "1", 1);
-  {
-    BareMachine bm;
-    EXPECT_FALSE(bm.cpu().trace_engine_enabled());
+
+  const struct {
+    const char* value;
+    u32 num_cpus;
+  } counts[] = {{nullptr, 1}, {"garbage", 1}, {"0", 1}, {"3", 3}, {"99", kMaxCpus}};
+  for (const auto& row : counts) {
+    ScopedEnv set("PALLADIUM_SMP", row.value);
+    EXPECT_EQ(ResolveNumCpus(0), row.num_cpus)
+        << "PALLADIUM_SMP=" << (row.value != nullptr ? row.value : "<unset>");
   }
-  if (outer != nullptr) {
-    ::setenv("PALLADIUM_NO_TRACE", saved.c_str(), 1);
-  } else {
-    ::unsetenv("PALLADIUM_NO_TRACE");
+
+  {
+    ScopedEnv set("PALLADIUM_NO_TRACE", "1");
+    BareMachine bm;
+    EXPECT_EQ(bm.cpu().engine(), Engine::kBlock) << "Machine applies the parsed engine";
+    ScopedEnv both("PALLADIUM_NO_BLOCKS", "1");
+    EXPECT_EQ(RuntimeConfig::FromEnv().engine, Engine::kInsn) << "NO_BLOCKS wins over NO_TRACE";
   }
 }
 
@@ -232,10 +260,7 @@ TEST(TraceEngine, SmpRemoteStoreInvalidatesHotTraceMidLoop) {
     config.num_cpus = 2;
     BareMachine bm(config);
     Machine& m = bm.machine();
-    for (u32 c = 0; c < 2; ++c) {
-      m.cpu(c).set_block_engine_enabled(true);
-      m.cpu(c).set_trace_engine_enabled(trace);
-    }
+    for (u32 c = 0; c < 2; ++c) m.cpu(c).set_engine(trace ? Engine::kTrace : Engine::kBlock);
     std::string diag;
     // vCPU 0: a hot loop; `add $1, %eax` is slot 1 (0x10010), imm at +8.
     auto img0 = bm.LoadProgram(R"(
@@ -519,10 +544,8 @@ done:
     u64 calls_total = 0;
     for (u64 slice : {1ull, 7ull, 23ull, 64ull, 5000ull}) {
       BareMachine on, off;
-      on.cpu().set_block_engine_enabled(true);
-      on.cpu().set_trace_engine_enabled(true);
-      off.cpu().set_block_engine_enabled(true);
-      off.cpu().set_trace_engine_enabled(false);
+      on.cpu().set_engine(Engine::kTrace);
+      off.cpu().set_engine(Engine::kBlock);
       for (BareMachine* bm : {&on, &off}) {
         std::string diag;
         auto img = bm->LoadProgram(source, kCodeBase, &diag);

@@ -1,182 +1,68 @@
 #!/usr/bin/env python3
 """Bench-smoke gate: fail if a gated benchmark metric regressed.
 
-Usage: check_bench_regression.py BASELINE.json FRESH.json [tolerance]
+Usage: check_bench_regression.py BASELINE.json FRESH.json
 
-The JSON format is auto-detected by content:
+Both files must have the same format: BenchJson output (a "metrics" object,
+from bench_dataplane and bench_protection) or google-benchmark JSON (a
+"benchmarks" list, from bench_simspeed, gated on each row's sim_mips with
+`_median` aggregates preferred so `--benchmark_repetitions` runs gate on the
+median).
 
-google-benchmark JSON (bench_simspeed output, a "benchmarks" list). For
-every gated throughput benchmark — block engine (name ending in `_block`),
-hot-trace tier (name ending in `_trace`), and host-parallel SMP (name
-ending in `_threaded`) — the gate checks:
-
- 1. absolute sim-MIPS against the committed baseline, with `tolerance`
-    slack (default 0.20 = 20%, env PALLADIUM_BENCH_MIPS_TOLERANCE);
- 2. if the absolute check fails, the *paired in-binary ratio* from the same
-    JSON — block/insn for `_block` names, trace/block for `_trace` names,
-    threaded/interleaved for `_threaded` names —
-    against the baseline's ratio. A runner that is uniformly slower than
-    the machine that produced the baseline moves both engines together and
-    keeps the ratio, so only a genuine engine regression (ratio collapse)
-    fails the gate.
-
-Aggregate entries (`_median` etc.) are preferred when present so
-`--benchmark_repetitions` runs gate on the median.
-
-BenchJson dataplane output (a "metrics" object carrying
-"dataplane_packets_per_sec" or "requests_per_sec"): the gate checks the
-simulated packet/request rate against the committed baseline with
-`tolerance` slack (default 0.10, env PALLADIUM_BENCH_PPS_TOLERANCE) —
-the rate is simulated cycles per packet, so it is machine-independent and
-the tolerance only absorbs scheduling nondeterminism — and requires
-"queue_full_drops" to be no worse than the baseline's.
-
-BenchJson protection output (a "metrics" object carrying
-"palladium_cycles_per_invocation"): the gate checks the protection
-overhead *ratio* — Palladium cycles/invocation over unprotected
-cycles/invocation, both simulated and machine-independent — against the
-committed baseline with `tolerance` slack (default 0.10, env
-PALLADIUM_BENCH_PROT_TOLERANCE), and requires the live-upgrade scenario
-to have dropped zero frames ("upgrade_dropped_frames" == 0).
+Every gate is one row of GATES. A row applies when the baseline carries its
+key (or its `when` key), and then the fresh run must carry it too. A
+baseline that carries no rate or cost row (one with a tolerance) is
+refused: drop counters alone cannot tell a regression from the wrong file. Keys that only the fresh run
+carries are new telemetry (e.g. the federated "obs." registry counters):
+they are listed so the baseline refresh is a conscious step, not gated.
 """
+import collections
 import json
-import os
 import sys
 
-
-def load_json(path):
-    with open(path) as f:
-        return json.load(f)
-
-
-def is_metrics_format(data):
-    return isinstance(data, dict) and isinstance(data.get("metrics"), dict)
-
-
-# Throughput keys a BenchJson dataplane file may carry, in gate preference
-# order (the plain bench emits packets/sec, the soak emits requests/sec).
-DATAPLANE_RATE_KEYS = ("dataplane_packets_per_sec", "requests_per_sec")
-
-
-def check_dataplane(baseline_data, fresh_data, argv_tolerance):
-    tolerance = float(
-        argv_tolerance if argv_tolerance is not None
-        else os.environ.get("PALLADIUM_BENCH_PPS_TOLERANCE", "0.10"))
-    base_m = baseline_data["metrics"]
-    fresh_m = fresh_data["metrics"]
-    name = baseline_data.get("bench", "dataplane")
-    failed = False
-
-    rate_key = next((k for k in DATAPLANE_RATE_KEYS if k in base_m), None)
-    if rate_key is None:
-        print(f"FAIL: {name}: baseline has none of {DATAPLANE_RATE_KEYS}")
-        return 1
-    base_rate = float(base_m[rate_key])
-    if rate_key not in fresh_m:
-        print(f"FAIL: {name}: fresh run is missing {rate_key}")
-        failed = True
-    else:
-        fresh_rate = float(fresh_m[rate_key])
-        ratio = fresh_rate / base_rate if base_rate else float("inf")
-        line = (f"{name} {rate_key}: baseline {base_rate:.0f} -> "
-                f"fresh {fresh_rate:.0f} ({ratio:.2f}x)")
-        if fresh_rate >= base_rate * (1.0 - tolerance):
-            print(f"{line} ok")
-        else:
-            print(f"{line} FAIL (more than {tolerance:.0%} below baseline; "
-                  f"the rate is in simulated cycles, so this is a real "
-                  f"dataplane regression, not runner noise)")
-            failed = True
-
-    # Metrics present in the fresh snapshot but absent from the committed
-    # baseline are new telemetry (e.g. the federated "obs." registry
-    # counters), not regressions: report them so the baseline refresh is a
-    # conscious step, and gate only on the keys both sides carry.
-    report_fresh_only(name, base_m, fresh_m)
-
-    base_drops = base_m.get("queue_full_drops")
-    fresh_drops = fresh_m.get("queue_full_drops")
-    if base_drops is not None:
-        if fresh_drops is None:
-            print(f"FAIL: {name}: fresh run is missing queue_full_drops")
-            failed = True
-        elif float(fresh_drops) > float(base_drops):
-            print(f"{name} queue_full_drops: baseline {float(base_drops):.0f} "
-                  f"-> fresh {float(fresh_drops):.0f} FAIL (drops regressed)")
-            failed = True
-        else:
-            print(f"{name} queue_full_drops: baseline {float(base_drops):.0f} "
-                  f"-> fresh {float(fresh_drops):.0f} ok")
-    return 1 if failed else 0
+# key        a metric or row name; "a|b" gates the first of a and b that the
+#            baseline carries; "a/b" gates the ratio a/b; "*_x" gates every
+#            google-benchmark row whose name ends in "_x".
+# better     "higher" or "lower": the fresh value may be at most `tolerance`
+#            worse than the baseline's; "zero": it must be exactly 0, and
+#            the baseline's value is not consulted.
+# paired     for "*_x" rows, the in-binary reference row "*_y". When the
+#            absolute check fails, the x/y ratio from the same JSON is held
+#            to the baseline's ratio instead: a runner that is uniformly
+#            slower than the baseline's machine moves both rows and keeps
+#            the ratio, so only a genuine regression (ratio collapse) fails.
+# when       the baseline key that makes the row apply, if not `key` itself.
+Gate = collections.namedtuple("Gate", "key better tolerance paired when",
+                              defaults=(None, None))
+GATES = (
+    # Engine sim-MIPS (host time, so runner dependent): block engine vs the
+    # per-instruction path, trace tier vs the block engine, threaded SMP vs
+    # the interleaver on the same host.
+    Gate("*_block", "higher", 0.20, paired="*_insn"),
+    Gate("*_trace", "higher", 0.20, paired="*_block"),
+    Gate("*_threaded", "higher", 0.20, paired="*_interleaved"),
+    # Dataplane rate in simulated cycles: machine independent, the tolerance
+    # only absorbs scheduling nondeterminism. The soak reports requests/sec.
+    Gate("dataplane_packets_per_sec|requests_per_sec", "higher", 0.10),
+    Gate("queue_full_drops", "lower", 0.0),
+    # Protection overhead: both sides are simulated cycles per invocation.
+    Gate("palladium_cycles_per_invocation/unprotected_cycles_per_invocation", "lower", 0.10),
+    # The live filter upgrade must not lose frames: every protection run
+    # must report it, whether or not the baseline does.
+    Gate("upgrade_dropped_frames", "zero", 0.0, when="palladium_cycles_per_invocation"),
+)
 
 
-def report_fresh_only(name, base_m, fresh_m):
-    fresh_only = sorted(set(fresh_m) - set(base_m))
-    if fresh_only:
-        preview = ", ".join(fresh_only[:5])
-        more = f", ... ({len(fresh_only)} total)" if len(fresh_only) > 5 else ""
-        print(f"note: {name}: {len(fresh_only)} fresh metrics have no committed "
-              f"baseline yet (not gated): {preview}{more}")
-
-
-def check_protection(baseline_data, fresh_data, argv_tolerance):
-    tolerance = float(
-        argv_tolerance if argv_tolerance is not None
-        else os.environ.get("PALLADIUM_BENCH_PROT_TOLERANCE", "0.10"))
-    base_m = baseline_data["metrics"]
-    fresh_m = fresh_data["metrics"]
-    name = baseline_data.get("bench", "protection")
-    failed = False
-
-    def overhead_ratio(m, where):
-        pd = m.get("palladium_cycles_per_invocation")
-        un = m.get("unprotected_cycles_per_invocation")
-        if pd is None or un is None or not float(un):
-            print(f"FAIL: {name}: {where} is missing palladium/unprotected "
-                  f"cycles_per_invocation")
-            return None
-        return float(pd) / float(un)
-
-    base_ratio = overhead_ratio(base_m, "baseline")
-    fresh_ratio = overhead_ratio(fresh_m, "fresh run")
-    if base_ratio is None or fresh_ratio is None:
-        failed = True
-    else:
-        line = (f"{name} palladium/unprotected cycles ratio: baseline "
-                f"{base_ratio:.2f}x -> fresh {fresh_ratio:.2f}x")
-        if fresh_ratio <= base_ratio * (1.0 + tolerance):
-            print(f"{line} ok")
-        else:
-            print(f"{line} FAIL (protected crossing got more than "
-                  f"{tolerance:.0%} more expensive relative to the "
-                  f"unprotected run — both are simulated cycles, so this is "
-                  f"a real protection regression)")
-            failed = True
-
-    drops = fresh_m.get("upgrade_dropped_frames")
-    if drops is None:
-        print(f"FAIL: {name}: fresh run is missing upgrade_dropped_frames")
-        failed = True
-    elif float(drops) != 0:
-        print(f"{name} upgrade_dropped_frames: {float(drops):.0f} FAIL "
-              f"(the live filter upgrade must not lose frames)")
-        failed = True
-    else:
-        print(f"{name} upgrade_dropped_frames: 0 ok")
-
-    report_fresh_only(name, base_m, fresh_m)
-    return 1 if failed else 0
-
-
-def sim_mips(path):
+def load(path):
+    """Returns (format, {name: value}, label) for one bench JSON file."""
     with open(path) as f:
         data = json.load(f)
-    plain = {}
-    median = {}
+    if isinstance(data, dict) and isinstance(data.get("metrics"), dict):
+        return "metrics", data["metrics"], data.get("bench", path)
+    plain, median = {}, {}
     for bench in data.get("benchmarks", []):
         # The SMP rows run with UseRealTime, which suffixes the name with
-        # "/real_time"; strip it so the `_threaded`/`_interleaved` suffix
-        # matching and baseline keys stay clock-agnostic.
+        # "/real_time"; strip it so suffix matching stays clock-agnostic.
         name = bench.get("name", "").replace("/real_time", "")
         if "sim_mips" not in bench:
             continue
@@ -184,100 +70,103 @@ def sim_mips(path):
             median[name[: -len("_median")]] = float(bench["sim_mips"])
         elif "_" in name:
             plain[name] = float(bench["sim_mips"])
-    # Median aggregates win over per-repetition entries.
-    plain.update(median)
-    return plain
+    plain.update(median)  # median aggregates win over per-repetition entries
+    return "benchmarks", plain, path
 
 
-# Gated suffix -> the in-binary reference its ratio is paired with. The SMP
-# rows gate the threaded harness against the interleaver on the same machine
-# and JSON: a runner with fewer/slower host cores moves both rows together,
-# so only a genuine loss of host-parallel speedup (ratio collapse) fails.
-PAIRED_REFERENCE = {"_block": "_insn", "_trace": "_block",
-                    "_threaded": "_interleaved"}
-
-
-def gated_suffix(name):
-    for suffix in PAIRED_REFERENCE:
-        if name.endswith(suffix):
-            return suffix
-    return None
-
-
-def engine_ratio(mips, name):
-    suffix = gated_suffix(name)
-    ref_name = name[: -len(suffix)] + PAIRED_REFERENCE[suffix]
-    gated = mips.get(name)
-    ref = mips.get(ref_name)
-    if gated is None or not ref:
+def ratio(values, num, den):
+    """values[num] / values[den]; None when either is missing or den is 0."""
+    if num not in values or not float(values.get(den, 0)):
         return None
-    return gated / ref
+    return float(values[num]) / float(values[den])
+
+
+def value(values, name):
+    """values[name]; for a GATES key "a/b", the ratio a/b. None when missing."""
+    if name in values:
+        return float(values[name])
+    return ratio(values, *name.split("/", 1)) if "/" in name else None
+
+
+def gated_names(gate, values):
+    """The names a row gates, given the baseline's values."""
+    if gate.when is not None:
+        return [gate.key] if gate.when in values else []
+    if gate.key.startswith("*"):
+        return sorted(n for n in values if n.endswith(gate.key[1:]))
+    for name in gate.key.split("|"):
+        if name.partition("/")[0] in values:
+            return [name]
+    return []
+
+
+def within(base, fresh, better, tolerance):
+    if better == "higher":
+        return fresh >= base * (1.0 - tolerance)
+    return fresh <= base * (1.0 + tolerance)
+
+
+def check(label, name, gate, base_values, fresh_values):
+    """Prints one gate's verdict; returns True when it passes."""
+    key, better, tolerance, paired, _ = gate
+    base = value(base_values, name)
+    fresh = value(fresh_values, name)
+    if fresh is None:
+        print(f"FAIL: {label}: fresh run is missing {name}")
+        return False
+    if better == "zero":
+        print(f"{label} {name}: {fresh:.6g} " + ("ok" if fresh == 0 else "FAIL (must be 0)"))
+        return fresh == 0
+    if base is None:
+        print(f"FAIL: {label}: baseline is missing {name}")
+        return False
+    change = f" ({fresh / base:.2f}x)" if base else ""
+    line = f"{label} {name}: baseline {base:.6g} -> fresh {fresh:.6g}{change}"
+    if within(base, fresh, better, tolerance):
+        print(f"{line} ok")
+        return True
+    bound = f"more than {tolerance:.0%} worse than baseline"
+    if paired is None:
+        print(f"{line} FAIL ({bound})")
+        return False
+    ref = name[: -len(key[1:])] + paired[1:]
+    base_pair = ratio(base_values, name, ref)
+    fresh_pair = ratio(fresh_values, name, ref)
+    if base_pair is None or fresh_pair is None:
+        print(f"{line} FAIL ({bound}; no {ref} pair to normalize against)")
+        return False
+    pair = f"{name}/{ref} ratio {base_pair:.2f}x -> {fresh_pair:.2f}x"
+    if within(base_pair, fresh_pair, better, tolerance):
+        print(f"{line} ok (absolute {bound}, but the {pair} held: slower machine, "
+              f"not a regression)")
+        return True
+    print(f"{line} FAIL ({pair} collapsed)")
+    return False
 
 
 def main():
-    if len(sys.argv) < 3:
+    if len(sys.argv) != 3:
         print(__doc__)
         return 2
-    baseline_path, fresh_path = sys.argv[1], sys.argv[2]
-    baseline_data = load_json(baseline_path)
-    fresh_data = load_json(fresh_path)
-    if is_metrics_format(baseline_data) or is_metrics_format(fresh_data):
-        if not (is_metrics_format(baseline_data) and is_metrics_format(fresh_data)):
-            print(f"FAIL: {baseline_path} and {fresh_path} are different "
-                  f"bench JSON formats (one has a 'metrics' object, the "
-                  f"other does not)")
-            return 1
-        argv_tol = sys.argv[3] if len(sys.argv) > 3 else None
-        if "palladium_cycles_per_invocation" in baseline_data["metrics"]:
-            return check_protection(baseline_data, fresh_data, argv_tol)
-        return check_dataplane(baseline_data, fresh_data, argv_tol)
-    tolerance = float(
-        sys.argv[3] if len(sys.argv) > 3
-        else os.environ.get("PALLADIUM_BENCH_MIPS_TOLERANCE", "0.20"))
-    baseline = sim_mips(baseline_path)
-    fresh = sim_mips(fresh_path)
-    gated_names = sorted(n for n in baseline if gated_suffix(n))
-    if not gated_names:
-        print(f"FAIL: no block- or trace-engine benchmarks in baseline "
-              f"{baseline_path}")
+    base_fmt, base_values, label = load(sys.argv[1])
+    fresh_fmt, fresh_values, _ = load(sys.argv[2])
+    if base_fmt != fresh_fmt:
+        print(f"FAIL: {sys.argv[1]} and {sys.argv[2]} are different bench JSON "
+              f"formats (one has a 'metrics' object, the other does not)")
         return 1
-    if not any(n.endswith("_trace") for n in gated_names):
-        print(f"note: baseline {baseline_path} has no trace-tier benchmarks; "
-              f"gating block engine only")
+    applicable = [(gate, name) for gate in GATES for name in gated_names(gate, base_values)]
+    if not any(gate.tolerance for gate, _ in applicable):
+        print(f"FAIL: {label}: baseline {sys.argv[1]} carries none of the rate or "
+              f"cost gates: {', '.join(g.key for g in GATES if g.tolerance)}")
+        return 1
     failed = False
-    for name in gated_names:
-        engine = gated_suffix(name).lstrip("_")
-        base = baseline[name]
-        got = fresh.get(name)
-        if got is None:
-            print(f"FAIL: {name}: {engine}-engine benchmark present in "
-                  f"baseline but missing from fresh run (did bench_simspeed "
-                  f"drop the --engine {engine} spec?)")
-            failed = True
-            continue
-        abs_ratio = got / base if base else float("inf")
-        line = f"{name}: baseline {base:.1f} -> fresh {got:.1f} sim-MIPS ({abs_ratio:.2f}x)"
-        if got >= base * (1.0 - tolerance):
-            print(f"{line} ok")
-            continue
-        # Absolute check failed; arbitrate with the machine-independent
-        # paired engine ratio.
-        ref = PAIRED_REFERENCE[gated_suffix(name)].lstrip("_")
-        pair = f"{engine}/{ref}"
-        base_er = engine_ratio(baseline, name)
-        fresh_er = engine_ratio(fresh, name)
-        if base_er is None or fresh_er is None:
-            print(f"{line} FAIL (more than {tolerance:.0%} below baseline; "
-                  f"no {ref}-engine pair to normalize against)")
-            failed = True
-        elif fresh_er >= base_er * (1.0 - tolerance):
-            print(f"{line} ok (absolute below baseline, but {pair} ratio "
-                  f"held: {base_er:.2f}x -> {fresh_er:.2f}x — slower machine, "
-                  f"not a regression)")
-        else:
-            print(f"{line} FAIL ({pair} ratio collapsed: "
-                  f"{base_er:.2f}x -> {fresh_er:.2f}x)")
-            failed = True
+    for gate, name in applicable:
+        failed |= not check(label, name, gate, base_values, fresh_values)
+    fresh_only = sorted(set(fresh_values) - set(base_values))
+    if fresh_only:
+        more = f", ... ({len(fresh_only)} total)" if len(fresh_only) > 5 else ""
+        print(f"note: {label}: {len(fresh_only)} fresh metrics have no committed "
+              f"baseline yet (not gated): {', '.join(fresh_only[:5])}{more}")
     return 1 if failed else 0
 
 
