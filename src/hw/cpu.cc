@@ -64,7 +64,7 @@ static_assert(OpcodeOrderMatches(),
 }  // namespace
 
 Cpu::Cpu(PhysicalMemory& pm, DescriptorTable& gdt, DescriptorTable& idt, CycleModel model)
-    : pm_(pm), gdt_(gdt), idt_(idt), model_(model) {
+    : pm_(pm), gdt_(gdt), idt_(idt), model_(model), dcache_(pm) {
   // The decode cache must see every byte of physical memory change, whether
   // it comes from a simulated store (on any vCPU), host-side kernel code, or
   // device DMA. Each vCPU registers its own cache; writes fan out to all.
@@ -476,27 +476,46 @@ bool Cpu::MemWrite(const LoadedSegment& seg, u32 offset, u32 size, bool is_stack
       pm_.NotifyWrite(phys, size);
       return true;
     }
-    // r == 0: consume byte 0's translation (see MemRead) and finish on the
-    // byte loop.
-    if (!pm_.Write8(phys, static_cast<u8>(value))) {
-      *fault = Gp("physical address out of range (bus error)");
-      return false;
-    }
-    return WriteBytesSlow(linear, 1, size, value, fault);
+    // r == 0: the byte loop consumes byte 0's translation (see MemRead).
+    return WriteBytesSlow(linear, size, value, fault, &phys);
   }
-  return WriteBytesSlow(linear, 0, size, value, fault);
+  return WriteBytesSlow(linear, size, value, fault);
 }
 
-bool Cpu::WriteBytesSlow(u32 linear, u32 start, u32 size, u32 value, Fault* fault) {
-  for (u32 i = start; i < size; ++i) {
+// Out of line: the flattened dispatch loops (RunBlock, StepOne) would
+// otherwise carry a copy in every store handler, for the page-straddling
+// and per-byte-oracle case only.
+__attribute__((noinline)) bool Cpu::WriteBytesSlow(u32 linear, u32 size, u32 value,
+                                                   Fault* fault, const u32* phys0) {
+  // Bytes land one translation at a time, but the write observers hear of
+  // each physically contiguous run once, after its last byte: a decode cache
+  // judges the store by the bytes it leaves, never by a half-written slot,
+  // so this loop and the D-TLB's single copy reach the same decision.
+  u32 run_begin = 0, run_len = 0;
+  bool ok = true;
+  for (u32 i = 0; i < size; ++i) {
     u32 phys = 0;
-    if (!Translate(linear + i, /*is_write=*/true, &phys, fault)) return false;
-    if (!pm_.Write8(phys, static_cast<u8>(value >> (8 * i)))) {
-      *fault = Gp("physical address out of range (bus error)");
-      return false;
+    if (i == 0 && phys0 != nullptr) {
+      phys = *phys0;
+    } else if (!Translate(linear + i, /*is_write=*/true, &phys, fault)) {
+      ok = false;
+      break;
     }
+    if (!pm_.Write8Deferred(phys, static_cast<u8>(value >> (8 * i)))) {
+      *fault = Gp("physical address out of range (bus error)");
+      ok = false;
+      break;
+    }
+    if (run_len != 0 && phys == run_begin + run_len) {
+      ++run_len;
+      continue;
+    }
+    if (run_len != 0) pm_.NotifyWrite(run_begin, run_len);
+    run_begin = phys;
+    run_len = 1;
   }
-  return true;
+  if (run_len != 0) pm_.NotifyWrite(run_begin, run_len);
+  return ok;
 }
 
 bool Cpu::ReadVirt(SegReg sr, u32 offset, u32 size, u32* out, Fault* fault) {
@@ -577,7 +596,7 @@ bool Cpu::FetchInsn(const DecodedInsn** insn, Fault* fault) {
     if (!Translate(linear, /*is_write=*/false, &phys, fault, &flags, /*is_fetch=*/true)) {
       return false;
     }
-    fetch_page_ = dcache_.GetOrBuild(pm_, phys & ~kPageMask);
+    fetch_page_ = dcache_.GetOrBuild(phys & ~kPageMask);
     fetch_vpn_ = vpn;
     fetch_flags_ = flags;
     fetch_tlb_change_ = tlb_.change_count();
@@ -1345,7 +1364,7 @@ __attribute__((flatten)) Cpu::BlockExit Cpu::RunBlock(u64 cycle_limit, StopInfo*
       stop->fault = fault;
       return BlockExit::kStopped;
     }
-    fetch_page_ = dcache_.GetOrBuild(pm_, phys & ~kPageMask);
+    fetch_page_ = dcache_.GetOrBuild(phys & ~kPageMask);
     fetch_vpn_ = vpn;
     fetch_flags_ = flags;
     fetch_tlb_change_ = tlb_.change_count();
@@ -1639,12 +1658,13 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 u
   u64 dtlb_gen_live = dtlb_.mutation_count();
   // Per-segment fast-access windows: an access of `size` at `off` passes
   // CheckSegmentAccess iff off + size - 1 <= lim in signed 64-bit math,
-  // with lim = -1 encoding "never" — validity, permissions, and the limit
-  // fold into one compare. Any access outside the window takes the MemRead
-  // / MemWrite fallback, which redoes the architectural check and raises
-  // the exact fault. These live in locals the compiler can prove guest stores
-  // never alias; kExec is the only uop that can reload a segment register,
-  // so it refreshes them.
+  // where lim is the last legal byte offset (limit - 1: the limit is the
+  // segment's size) and -1 encodes "never" — validity, permissions, and the
+  // limit fold into one compare. Any access outside the window takes the
+  // MemRead / MemWrite fallback, which redoes the architectural check and
+  // raises the exact fault. These live in locals the compiler can prove
+  // guest stores never alias; kExec is the only uop that can reload a
+  // segment register, so it refreshes them.
   i64 seg_rd_lim[kNumSegRegs];  // pass iff off + size - 1 <= lim (-1: never)
   i64 seg_wr_lim[kNumSegRegs];
   i64 seg_rd_end4[kNumSegRegs];  // = rd_lim - 3: last off a 4-byte read fits
@@ -1655,8 +1675,8 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 u
       const SegmentDescriptor& d = sg.cache;
       const bool rd_ok = sg.valid && !(d.IsCode() && !d.readable);
       const bool wr_ok = sg.valid && !d.IsCode() && d.writable;
-      seg_rd_lim[s] = rd_ok ? static_cast<i64>(d.limit) : -1;
-      seg_wr_lim[s] = wr_ok ? static_cast<i64>(d.limit) : -1;
+      seg_rd_lim[s] = rd_ok ? static_cast<i64>(d.limit) - 1 : -1;
+      seg_wr_lim[s] = wr_ok ? static_cast<i64>(d.limit) - 1 : -1;
       seg_rd_end4[s] = seg_rd_lim[s] - 3;
       seg_base[s] = d.base;
     }
@@ -1690,10 +1710,13 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 u
       const void* tgt = kUopLabels[static_cast<u8>(x->kind)];
       // 4-byte memory uops — the dominant case: every push/pop and almost
       // every mov — get switch-free specializations; push/pop variants fold
-      // their fixed ESP adjustment into the label itself. The generic labels
-      // stay the fallback for 1/2-byte accesses, and a specialized label
+      // their fixed ESP adjustment into the label itself. So do byte loads,
+      // the one load of every checksum loop. The generic labels stay the
+      // fallback for the other 1/2-byte accesses, and a specialized label
       // that misses its fast-path guard re-dispatches to its generic one.
-      if (x->size == 4) {
+      if (x->size == 1 && x->kind == UopKind::kLoad && x->esp_post == 0) {
+        tgt = &&u_load1;
+      } else if (x->size == 4) {
         if (x->kind == UopKind::kLoad)
           tgt = x->esp_post ? static_cast<const void*>(&&u_pop4)
                             : static_cast<const void*>(&&u_load4);
@@ -1964,6 +1987,28 @@ u_load4: {  // kLoad, size 4, no ESP adjustment — the common mov-load
     PALLADIUM_UOP_NEXT();
   }
   goto u_load;  // window or pin miss: the generic path faults / refills exactly
+}
+
+u_load1: {  // kLoad, size 1, no ESP adjustment — byte loops
+  u32 off = static_cast<u32>(u->disp);
+  if (u->r2 != kNoBaseReg) off += regs_[u->r2];
+  if (u->scale != 0) off += regs_[u->r3] * u->scale;
+  const u32 linear = seg_base[u->seg_idx] + off;
+  const TracePin& p = pins[u->pin];
+  // One byte never straddles a page: unlike u_load4, no page-offset check.
+  if (__builtin_expect(static_cast<i64>(off) <= seg_rd_lim[u->seg_idx] &&
+                           p.tlb_change == tlb_change &&
+                           p.dtlb_gen == dtlb_gen_live &&
+                           p.vpn == PageNumber(linear) &&
+                           !(user3 && !(p.flags & kPteUser)),
+                       1)) {
+    tlb_hits += 1;
+    ++dtlb_hits;
+    ++elided;
+    regs_[u->r1] = p.host[linear & kPageMask];
+    PALLADIUM_UOP_NEXT();
+  }
+  goto u_load;
 }
 
 u_pop4: {  // kLoad, size 4, ESP += 4 after the access

@@ -321,13 +321,15 @@ class Cpu {
   //   -1 fault — *fault filled exactly as the per-byte path would
   int DtlbTranslate(u32 linear, u32 size, bool is_write, u8** host, u32* phys, Fault* fault);
 
-  // The per-byte access loops (page-crossing semantics, bus errors). `start`
-  // lets a caller that already translated and consumed byte 0 — the D-TLB
-  // fill path whose frame turned out not host-mappable — resume at byte 1,
-  // keeping TLB statistics equal to a pure per-byte run. `*value` holds the
-  // accumulated low bytes on entry for reads.
+  // The per-byte access loops (page-crossing semantics, bus errors). A
+  // caller that already translated byte 0 — the D-TLB fill path whose frame
+  // turned out not host-mappable — hands it over so it is not repeated,
+  // keeping TLB statistics equal to a pure per-byte run: reads resume at
+  // `start` = 1 with byte 0 already in `*value`, writes take byte 0's
+  // physical address in `phys0`.
   bool ReadBytesSlow(u32 linear, u32 start, u32 size, u32* value, Fault* fault);
-  bool WriteBytesSlow(u32 linear, u32 start, u32 size, u32 value, Fault* fault);
+  bool WriteBytesSlow(u32 linear, u32 size, u32 value, Fault* fault,
+                      const u32* phys0 = nullptr);
 
   // Segment-checked access path. `is_exec` marks instruction fetches.
   bool CheckSegmentAccess(const LoadedSegment& seg, u32 offset, u32 size, bool is_write,

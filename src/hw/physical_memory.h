@@ -20,8 +20,8 @@ class PhysicalMemory {
   // simulated stores from any vCPU, kernel copy-in, image loaders, device
   // DMA, or frame zeroing. With N vCPUs there are N observers (one decode
   // cache per core); a write fans out to all of them, which is exactly the
-  // SMP coherence rule "a store to a physical page kills every core's
-  // decoded image of it".
+  // SMP coherence rule "every core judges a store to a physical page against
+  // its own decoded image of it".
   class WriteObserver {
    public:
     virtual ~WriteObserver() = default;
@@ -51,7 +51,8 @@ class PhysicalMemory {
   // thread starts the next epoch, so a cross-CPU code write is observed no
   // later than the next barrier (the delivery rule threaded mode promises;
   // data-race-free workloads cannot tell the difference). Page granularity
-  // is exact for decode caches, which invalidate whole pages anyway.
+  // is exact for decode caches: a replayed range re-decodes every slot of
+  // the page, and a slot no write touched still decodes as cached.
   struct WriteLane {
     WriteObserver* local = nullptr;
     // Page-aligned [begin, end) ranges touched this epoch, deduped against
@@ -150,10 +151,13 @@ class PhysicalMemory {
     std::memcpy(out, &bytes_[addr], 4);
     return true;
   }
-  bool Write8(u32 addr, u8 v) {
+  // The one byte store, and unlike Write16/Write32 it does not notify: the
+  // caller MUST NotifyWrite the range once its last byte has landed (the
+  // CPU's per-byte store loop notifies each store's bytes together, as
+  // one-copy paths do), so no observer judges a half-written store.
+  bool Write8Deferred(u32 addr, u8 v) {
     if (!Contains(addr, 1)) return false;
     bytes_[addr] = v;
-    Notify(addr, 1);
     return true;
   }
   bool Write16(u32 addr, u16 v) {

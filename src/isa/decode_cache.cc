@@ -43,7 +43,26 @@ void FillExecInfo(DecodedInsn& d, const CycleModel::CostTable& costs) {
   d.cost = costs.base[op];
 }
 
-DecodeCache::Page* DecodeCache::GetOrBuild(const PhysicalMemory& pm, u32 frame) {
+void DecodeCache::DecodeSlot(u32 phys, DecodedInsn* d) const {
+  if (!pm_.Contains(phys, kInsnSize)) {
+    d->state = DecodedInsn::State::kBusError;
+    d->dispatch = kDispatchBusError;
+    d->fault_offset = static_cast<u8>(pm_.size() > phys ? pm_.size() - phys : 0);
+    return;
+  }
+  u8 raw[kInsnSize];
+  pm_.ReadBlock(phys, raw, kInsnSize);
+  auto decoded = Insn::Decode(raw);
+  if (decoded) {
+    d->state = DecodedInsn::State::kDecoded;
+    d->insn = *decoded;
+  } else {
+    d->state = DecodedInsn::State::kUndecodable;
+    d->dispatch = kDispatchUndecodable;
+  }
+}
+
+DecodeCache::Page* DecodeCache::GetOrBuild(u32 frame) {
   // Safe point: no decoded instruction is mid-execution while the CPU is
   // fetching, so pages retired by earlier invalidations can really be freed.
   retired_.clear();
@@ -66,24 +85,8 @@ DecodeCache::Page* DecodeCache::GetOrBuild(const PhysicalMemory& pm, u32 frame) 
   auto page = std::make_unique<Page>();
   for (u32 slot = 0; slot < kSlotsPerPage; ++slot) {
     DecodedInsn& d = page->slots[slot];
-    const u32 phys = frame + slot * kInsnSize;
-    if (!pm.Contains(phys, kInsnSize)) {
-      d.state = DecodedInsn::State::kBusError;
-      d.dispatch = kDispatchBusError;
-      d.fault_offset = static_cast<u8>(pm.size() > phys ? pm.size() - phys : 0);
-      continue;
-    }
-    u8 raw[kInsnSize];
-    pm.ReadBlock(phys, raw, kInsnSize);
-    auto decoded = Insn::Decode(raw);
-    if (decoded) {
-      d.state = DecodedInsn::State::kDecoded;
-      d.insn = *decoded;
-      FillExecInfo(d, *costs_);
-    } else {
-      d.state = DecodedInsn::State::kUndecodable;
-      d.dispatch = kDispatchUndecodable;
-    }
+    DecodeSlot(frame + slot * kInsnSize, &d);
+    if (d.state == DecodedInsn::State::kDecoded) FillExecInfo(d, *costs_);
   }
 
   // Backward pass: link slots into basic-block runs. A run is the maximal
@@ -132,6 +135,27 @@ DecodeCache::Page* DecodeCache::GetOrBuild(const PhysicalMemory& pm, u32 frame) 
   Page* raw_page = page.get();
   pages_.emplace(pfn, std::move(page));
   return raw_page;
+}
+
+void DecodeCache::WriteTouchedCode(u32 pfn, u32 addr, u32 len) {
+  const Page& page = *pages_.find(pfn)->second;  // has_code_ => cached
+  // The write's extent clipped to this page, in whole slots.
+  const u32 frame = pfn << kPageShift;
+  const u32 begin = std::max(addr, frame) - frame;
+  const u32 end = static_cast<u32>(
+      std::min<u64>(static_cast<u64>(addr) + len, static_cast<u64>(frame) + kPageSize) - frame);
+  for (u32 slot = begin / kInsnSize; slot <= (end - 1) / kInsnSize; ++slot) {
+    DecodedInsn fresh;
+    DecodeSlot(frame + slot * kInsnSize, &fresh);
+    const DecodedInsn& cached = page.slots[slot];
+    // A bus-error slot's offset depends only on its address: state suffices.
+    if (fresh.state != cached.state ||
+        (fresh.state == DecodedInsn::State::kDecoded && !(fresh.insn == cached.insn))) {
+      Retire(pfn);
+      return;
+    }
+  }
+  ++stats_.writes_kept;
 }
 
 void DecodeCache::Retire(u32 pfn) {

@@ -19,12 +19,21 @@
 //
 // Keying by physical page means entries stay valid across CR3 switches (all
 // processes mapping the same text frame share one decoded image) and that
-// correctness reduces to one rule: whenever the bytes of a physical page
-// change, its decoded image dies. The cache learns about byte changes by
-// registering as the PhysicalMemory write observer, which covers simulated
-// stores (self-modifying code), kernel copy-in, loaders, and frame zeroing
-// on reallocation. Linear-mapping changes (PTE edits, CR3 loads) are the
-// TLB's problem; the CPU revalidates its fetch TLB against Tlb::change_count.
+// correctness reduces to one rule: a decoded image must equal what a fresh
+// build from the bytes now in memory would produce. The cache learns about
+// byte changes by registering as the PhysicalMemory write observer, which
+// covers simulated stores (self-modifying code), kernel copy-in, loaders,
+// and frame zeroing on reallocation. A write re-decodes only the 16-byte
+// slots it touched and retires the page only if one of them now decodes
+// differently (state, or the Insn fields of a decoded slot). Everything else
+// in a slot — exec info, run links — derives from those fields and the cost
+// table, so an all-equal page is exactly a fresh build and stays live: no
+// generation bump, hot counters and traces intact. That keeps mixed
+// code/data pages (slot words stored next to the stubs that use them) from
+// rebuilding per store, and the decision depends only on memory bytes, so
+// every decoded engine retires at the same writes. Linear-mapping changes
+// (PTE edits, CR3 loads) are the TLB's problem; the CPU revalidates its
+// fetch TLB against Tlb::change_count.
 #ifndef SRC_ISA_DECODE_CACHE_H_
 #define SRC_ISA_DECODE_CACHE_H_
 
@@ -140,9 +149,15 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
 
   struct Stats {
     u64 builds = 0;              // pages decoded
-    u64 write_invalidations = 0; // pages killed by a write to their bytes
+    u64 write_invalidations = 0; // pages killed by a write that changed a
+                                 // decode, or by EvictFrame
+    u64 writes_kept = 0;         // writes to a cached page that left it live
     u64 evictions = 0;           // pages dropped by the capacity cap
   };
+
+  // `pm` is the memory the cache decodes from and observes (the owner
+  // registers the cache as its write observer); it must outlive the cache.
+  explicit DecodeCache(const PhysicalMemory& pm) : pm_(pm) {}
 
   // The cost table used to annotate decoded slots (the CPU's, rebuilt on
   // set_cycle_model). Must be set before GetOrBuild; the pointee must
@@ -155,22 +170,25 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
   // instruction that modifies its own page keeps a live decode of itself
   // until the CPU fetches again. Non-const: the CPU's trace tier bumps
   // per-slot hotness counters and attaches lowered traces in place.
-  Page* GetOrBuild(const PhysicalMemory& pm, u32 frame);
+  Page* GetOrBuild(u32 frame);
 
-  // PhysicalMemory::WriteObserver: kills the decoded image of every page the
-  // write touches. O(1) per untracked page (a bitmap probe); inline so the
-  // CPU's store fast path pays only the probe, not a call, per store.
+  // PhysicalMemory::WriteObserver: judges every cached page the write
+  // touches, each on its own (WriteTouchedCode): the page dies only if a
+  // touched slot now decodes differently. O(1) per untracked page (a bitmap
+  // probe); inline so the CPU's store fast path pays only the probe, not a
+  // call, per store.
   void OnPhysicalWrite(u32 addr, u32 len) override {
     if (len == 0) return;
     const u32 first = PageNumber(addr);
     const u32 last = PageNumber(addr + len - 1);
     for (u32 pfn = first; pfn <= last; ++pfn) {
-      if (pfn < has_code_.size() && has_code_[pfn] != 0) Retire(pfn);
+      if (pfn < has_code_.size() && has_code_[pfn] != 0) WriteTouchedCode(pfn, addr, len);
     }
   }
 
   // Explicit eviction for a frame being repurposed (e.g. freed back to the
-  // kernel's frame allocator).
+  // kernel's frame allocator). Unconditional, like InvalidateAll and the
+  // capacity cap: none of them look at the bytes.
   void EvictFrame(u32 frame);
 
   // Retires every cached page (cost-model change: the per-slot cost
@@ -197,8 +215,18 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
   const Stats& stats() const { return stats_; }
 
  private:
+  // Decodes the slot at physical `phys` from the bytes now in memory: state,
+  // bus-error offset, instruction and the sentinel dispatch of a slot that
+  // cannot execute. The one decoder behind both GetOrBuild and the write
+  // check, so the two cannot disagree.
+  void DecodeSlot(u32 phys, DecodedInsn* d) const;
+  // A write touched cached page `pfn` somewhere in [addr, addr + len):
+  // re-decodes the touched slots and retires the page if any differs from
+  // its cached decode; otherwise counts the write as kept.
+  void WriteTouchedCode(u32 pfn, u32 addr, u32 len);
   void Retire(u32 pfn);
 
+  const PhysicalMemory& pm_;
   const CycleModel::CostTable* costs_ = nullptr;
   std::unordered_map<u32, std::unique_ptr<Page>> pages_;  // keyed by pfn
   std::vector<std::unique_ptr<Page>> retired_;  // freed on next GetOrBuild

@@ -99,6 +99,11 @@ struct Insn {
 
   void EncodeTo(u8 out[kInsnSize]) const;
   static std::optional<Insn> Decode(const u8 in[kInsnSize]);
+
+  bool operator==(const Insn& o) const {
+    return opcode == o.opcode && seg == o.seg && r1 == o.r1 && r2 == o.r2 && r3 == o.r3 &&
+           scale == o.scale && size == o.size && imm == o.imm && disp == o.disp;
+  }
 };
 
 // Every opcode, in enum order. The execution engine expands this once into

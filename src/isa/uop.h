@@ -55,10 +55,10 @@
 //
 // Invalidation needs no machinery of its own: traces are owned by the
 // decoded page they were lowered from, so every existing invalidation source
-// (write observer, frame eviction, capacity retirement, cost-model rebuild)
-// kills them with the page, and the generation re-check after every
-// memory-touching uop bounds how long a dead trace can keep running — to
-// exactly the one instruction the per-instruction rule allows.
+// (a write that changes a decode, frame eviction, capacity retirement,
+// cost-model rebuild) kills them with the page, and the generation re-check
+// after every memory-touching uop bounds how long a dead trace can keep
+// running — to exactly the one instruction the per-instruction rule allows.
 #ifndef SRC_ISA_UOP_H_
 #define SRC_ISA_UOP_H_
 

@@ -30,6 +30,7 @@ void MetricsRegistry::CollectCpu(const Cpu& cpu, u32 index) {
   Counter(p + "decode.builds", cpu.decode_cache().stats().builds);
   Counter(p + "decode.write_invalidations",
           cpu.decode_cache().stats().write_invalidations);
+  Counter(p + "decode.writes_kept", cpu.decode_cache().stats().writes_kept);
   Counter(p + "decode.evictions", cpu.decode_cache().stats().evictions);
   Counter(p + "decode.generation", cpu.decode_cache().generation());
   Counter(p + "block.entries", cpu.block_stats().entries);

@@ -415,6 +415,8 @@ struct IrqDiffRun {
   // enabled in every mode, and the kArch events must be byte-identical.
   std::vector<obs::Event> arch_events;
   u64 trace_promotions = 0;  // engine counter: never compared across modes
+  DecodeCache::Stats decode;
+  u64 decode_generation = 0;
 };
 
 IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode,
@@ -489,6 +491,8 @@ IrqDiffRun RunDifferentialIrq(const std::vector<u8>& program, FuzzMode mode,
   EXPECT_EQ(recorder.TotalDropped(), 0u) << "fuzz ring sized too small to compare streams";
   out.arch_events = recorder.ArchEvents(0);
   out.trace_promotions = bm.cpu().trace_stats().promotions;
+  out.decode = bm.cpu().decode_cache().stats();
+  out.decode_generation = bm.cpu().decode_cache().generation();
   return out;
 }
 
@@ -571,6 +575,79 @@ TEST(IrqDifferential, AllEightModesAgreeUnderRandomInterrupts) {
     }
   }
   EXPECT_GT(total_irqs, 60u) << "the interrupt fuzz barely interrupted anything";
+}
+
+// --- Code-page store differential fuzz -------------------------------------------
+// The interrupt fuzz's harness on programs that also store into their own
+// code page (tests/fuzz_util.h, BuildCodeStore): random data into spare
+// slots, re-stores of body slots' own words, and toggles of the immediate of
+// a `mov` the loop executes. A decoded page dies exactly when a write
+// changes what a slot decodes to — a decision made from memory bytes alone —
+// so on top of the architectural agreement every decoded mode must keep,
+// retire and rebuild pages at the same writes: equal decode.* counters, and
+// equal TLB hits (each retirement costs the next fetch one translation).
+
+TEST(CodeStoreDifferential, AllEightModesAgreeOnCodePageStores) {
+  constexpr u32 kSeeds = 12;
+  constexpr u32 kIterations = 600;
+  constexpr u32 kBodyLen = 160;
+  u64 total_kept = 0;
+  u64 total_invalidations = 0;
+  for (u64 seed = 1; seed <= kSeeds; ++seed) {
+    const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
+    const u64 program_seed = seed * 53 + 5;
+    const std::vector<u8> program =
+        EncodeLoopedFuzzProgram(program_seed, kIterations, kBodyLen, kCodeBase, kFuzzDataBase,
+                                kFuzzDataSpan, /*esp_reset=*/0, /*code_stores=*/true);
+    const u64 timer_period = 3'000 + (seed * 1'213) % 9'000;
+    std::vector<u64> nic_times;
+    u64 st = seed * 0xD1B54A32D192ED03ull + 9;
+    u64 t = 2'000;
+    for (int i = 0; i < 20; ++i) {
+      t += 500 + NextRand(&st) % 120'000;
+      nic_times.push_back(t);
+    }
+
+    IrqDiffRun ref;
+    for (const EngineMode& em : kEngineModes) {
+      IrqDiffRun run = RunDifferentialIrq(program, mode, em, timer_period, nic_times);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " config " + em.name);
+      if (&em == &kEngineModes[0]) {
+        ref = std::move(run);
+        EXPECT_GE(ref.instructions, 10'000u) << "fuzz body too small to be meaningful";
+        total_kept += ref.decode.writes_kept;
+        total_invalidations += ref.decode.write_invalidations;
+        continue;
+      }
+      EXPECT_EQ(run.final_reason, ref.final_reason);
+      EXPECT_EQ(run.instructions, ref.instructions);
+      EXPECT_EQ(run.cycles, ref.cycles) << "cycle model diverged";
+      EXPECT_EQ(run.tlb_misses, ref.tlb_misses);
+      EXPECT_TRUE(run.faults == ref.faults)
+          << "fault streams diverged (" << run.faults.size() << " vs " << ref.faults.size() << ")";
+      EXPECT_TRUE(run.irqs == ref.irqs)
+          << "interrupt streams diverged (" << run.irqs.size() << " vs " << ref.irqs.size() << ")";
+      EXPECT_TRUE(run.arch_events == ref.arch_events) << "flight-recorder arch streams diverged";
+      EXPECT_EQ(run.ctx.eip, ref.ctx.eip);
+      EXPECT_EQ(run.ctx.eflags, ref.ctx.eflags);
+      EXPECT_EQ(run.ctx.cpl, ref.ctx.cpl);
+      for (u8 r = 0; r < kNumRegs; ++r) {
+        EXPECT_EQ(run.ctx.regs[r], ref.ctx.regs[r]) << "reg " << static_cast<int>(r);
+      }
+      ASSERT_EQ(run.memory.size(), ref.memory.size());
+      EXPECT_EQ(std::memcmp(run.memory.data(), ref.memory.data(), run.memory.size()), 0)
+          << "memory images diverged";
+      if (em.engine == Engine::kOracle) continue;  // no decode cache, per-byte fetch
+      EXPECT_EQ(run.tlb_hits, ref.tlb_hits);
+      EXPECT_EQ(run.decode.builds, ref.decode.builds);
+      EXPECT_EQ(run.decode.write_invalidations, ref.decode.write_invalidations);
+      EXPECT_EQ(run.decode.writes_kept, ref.decode.writes_kept);
+      EXPECT_EQ(run.decode.evictions, ref.decode.evictions);
+      EXPECT_EQ(run.decode_generation, ref.decode_generation);
+    }
+  }
+  EXPECT_GT(total_kept, 0u) << "no code-page store kept its page";
+  EXPECT_GT(total_invalidations, 0u) << "no code-page store changed a decode";
 }
 
 // --- SMP differential fuzz -----------------------------------------------------

@@ -1,8 +1,9 @@
 // Decoded-instruction cache tests: self-modifying code through simulated
 // stores and host writes, kernel-style page remaps, fetch-fault fidelity,
 // and cache reuse. These pin down the invalidation contract of the fetch
-// fast path: stale decodes must never execute, and fetch faults must carry
-// the exact faulting linear address.
+// fast path: stale decodes must never execute, a write retires a decoded
+// page exactly when a slot it touched now decodes differently, and fetch
+// faults must carry the exact faulting linear address.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -81,7 +82,9 @@ target:
 // inline hit path (host-pointer memcpy + direct decode-cache notification).
 // The write observer must fire there too, or the stale decode of `target`
 // would execute. This is the regression test for the fast-path/decode-cache
-// coupling.
+// coupling. Only the patch's imm word changes what `target` decodes to: the
+// warm-up stores zeros over zeros and the other three patch words rewrite
+// the bytes already there, so those four writes keep the page.
 TEST(DecodeCache, DtlbFastPathStoreInvalidatesDecodedPage) {
   Insn patch;
   patch.opcode = Opcode::kMovRI;
@@ -96,7 +99,7 @@ TEST(DecodeCache, DtlbFastPathStoreInvalidatesDecodedPage) {
   .global main
 main:
   mov $0x%x, %%ebx
-  sti $0, 0x700(%%ebx)   ; same code page: warms the D-TLB (and kills decode)
+  sti $0, 0x700(%%ebx)   ; same code page: warms the D-TLB (zeros over zeros)
   sti $0x%x, 0(%%ebx)
   sti $0x%x, 4(%%ebx)
   sti $0x%x, 8(%%ebx)
@@ -114,14 +117,132 @@ target:
   EXPECT_EQ(bm.cpu().reg(Reg::kEax), 42u);
   // The patch stores must have hit the warm D-TLB entry...
   EXPECT_GE(bm.cpu().dtlb_stats().hits, 4u);
-  // ...and every one of them still killed the decoded page.
+  // ...and the imm word, the one write that changed a decode, killed the
+  // decoded page; it was rebuilt for the next fetch and the disp word,
+  // stored after that, kept it.
   const auto& stats = bm.cpu().decode_cache().stats();
-  EXPECT_GE(stats.write_invalidations, 2u);
-  EXPECT_GE(stats.builds, 2u);
+  EXPECT_EQ(stats.write_invalidations, 1u);
+  EXPECT_EQ(stats.writes_kept, 4u);
+  EXPECT_EQ(stats.builds, 2u);
 }
 
-// Host-side writes (kernel copy-in, loaders) must invalidate too.
-TEST(DecodeCache, HostWriteInvalidatesDecodedPage) {
+// Stores into an undecodable slot of the page the loop runs from — the shape
+// of a protected user call's stack-pointer slots next to its stubs — change
+// data, never a decode. The page is built once, the generation never moves
+// and the loop's trace, promoted once, keeps running: every engine keeps
+// the page at every one of those writes.
+TEST(DecodeCache, StoresIntoUndecodableSlotKeepPageAndTrace) {
+  const std::string src = R"(
+  .global main
+main:
+  mov $1000, %ecx
+  mov $slots, %ebx
+loop:
+  st %ecx, 0(%ebx)       ; the opcode word of an all-zero slot: size 0 stays
+  dec %ecx               ; undecodable whatever the counter is
+  cmp $0, %ecx
+  jne loop
+  hlt
+slots:
+  .space 16
+)";
+  for (Engine engine : {Engine::kTrace, Engine::kBlock, Engine::kInsn}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    BareMachine bm;
+    bm.cpu().set_engine(engine);
+    ASSERT_EQ(RunProgram(bm, src).reason, StopReason::kHalted);
+    const auto& stats = bm.cpu().decode_cache().stats();
+    EXPECT_EQ(stats.builds, 1u);
+    EXPECT_EQ(stats.write_invalidations, 0u);
+    EXPECT_EQ(stats.writes_kept, 1000u);
+    EXPECT_EQ(bm.cpu().decode_cache().generation(), 0u);
+    if (engine == Engine::kTrace) {
+      const Cpu::TraceStats& trace = bm.cpu().trace_stats();
+      EXPECT_EQ(trace.promotions, 1u);
+      EXPECT_EQ(trace.calls, 1u) << "the trace must survive its own stores";
+      EXPECT_GE(trace.entries, 900u);
+    }
+  }
+}
+
+// The other direction: stores fill two all-zero (undecodable) slots with
+// `mov $42, %eax; hlt`, and a jump there runs them. Each word that changes a
+// decode retires the page (a size byte making a slot decodable, the imm);
+// the words that leave a decode as it was keep it.
+TEST(DecodeCache, StoreThatMakesSlotDecodableExecutesIt) {
+  Insn mov;
+  mov.opcode = Opcode::kMovRI;
+  mov.r1 = static_cast<u8>(Reg::kEax);
+  mov.imm = 42;
+  Insn hlt;
+  hlt.opcode = Opcode::kHlt;
+  const auto m = InsnWords(mov);
+  const auto h = InsnWords(hlt);
+  char src[1024];
+  std::snprintf(src, sizeof(src), R"(
+  .global main
+main:
+  mov $slots, %%ebx
+  sti $0x%x, 0(%%ebx)    ; opcode word: size still 0, undecodable (kept)
+  sti $0x%x, 4(%%ebx)    ; size 4: now `mov $0, %%eax` (retires)
+  sti $0x%x, 8(%%ebx)    ; imm 42 (retires)
+  sti $0x%x, 12(%%ebx)   ; disp 0 over 0 (kept)
+  sti $0x%x, 16(%%ebx)   ; kept
+  sti $0x%x, 20(%%ebx)   ; now `hlt` (retires)
+  sti $0x%x, 24(%%ebx)   ; kept
+  sti $0x%x, 28(%%ebx)   ; kept
+  jmp slots
+  mov $1, %%eax
+  hlt
+slots:
+  .space 32
+)",
+                m[0], m[1], m[2], m[3], h[0], h[1], h[2], h[3]);
+  for (Engine engine : {Engine::kTrace, Engine::kBlock, Engine::kInsn, Engine::kOracle}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    BareMachine bm;
+    bm.cpu().set_engine(engine);
+    ASSERT_EQ(RunProgram(bm, src).reason, StopReason::kHalted);
+    EXPECT_EQ(bm.cpu().reg(Reg::kEax), 42u);
+    if (engine == Engine::kOracle) continue;  // no decode cache
+    const auto& stats = bm.cpu().decode_cache().stats();
+    EXPECT_EQ(stats.write_invalidations, 3u);
+    EXPECT_EQ(stats.writes_kept, 5u);
+    EXPECT_EQ(stats.builds, 4u);
+  }
+}
+
+// A store straddling two slots: its first two bytes rewrite the zero disp of
+// a `nop` with zeros, its last two turn the next slot's `mov $1, %ecx` into
+// `add $1, %ecx`. Every slot a write touches is judged, not just the first.
+TEST(DecodeCache, StoreSpanningTwoSlotsIsJudgedOnBoth) {
+  static_assert(static_cast<u16>(Opcode::kAddRI) == 0x10, "the stored word encodes kAddRI");
+  const std::string src = R"(
+  .global main
+main:
+  mov $5, %ecx
+  mov $0x100000, %eax
+  st %eax, 0x1003e       ; bytes 14-15 of the nop, 0-1 of `target`
+  nop
+target:                  ; 0x10040
+  mov $1, %ecx
+  hlt
+)";
+  for (Engine engine : {Engine::kTrace, Engine::kBlock, Engine::kInsn, Engine::kOracle}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    BareMachine bm;
+    bm.cpu().set_engine(engine);
+    ASSERT_EQ(RunProgram(bm, src).reason, StopReason::kHalted);
+    EXPECT_EQ(bm.cpu().reg(Reg::kEcx), 6u);
+    if (engine != Engine::kOracle) {
+      EXPECT_EQ(bm.cpu().decode_cache().stats().write_invalidations, 1u);
+    }
+  }
+}
+
+// Host-side writes (kernel copy-in, loaders) are judged the same way: a
+// byte-identical rewrite keeps the decoded page, a changed one retires it.
+TEST(DecodeCache, HostWriteRetiresPageOnlyWhenCodeChanges) {
   BareMachine bm;
   std::string diag;
   auto img = bm.LoadProgram(R"(
@@ -137,6 +258,18 @@ main:
   bm.Start(main_addr, 0, kStackTop);
   ASSERT_EQ(bm.Run(10'000'000).reason, StopReason::kHalted);
   EXPECT_EQ(bm.cpu().reg(Reg::kEax), 1u);
+  const DecodeCache& cache = bm.cpu().decode_cache();
+  ASSERT_EQ(cache.stats().builds, 1u);
+
+  // The loader writes the same image again: the page stays live.
+  ASSERT_TRUE(bm.pm().WriteBlock(kCodeBase, img->bytes.data(),
+                                 static_cast<u32>(img->bytes.size())));
+  EXPECT_EQ(cache.stats().writes_kept, 1u);
+  EXPECT_EQ(cache.stats().write_invalidations, 0u);
+  EXPECT_EQ(cache.generation(), 0u);
+  bm.Start(main_addr, 0, kStackTop);
+  ASSERT_EQ(bm.Run(10'000'000).reason, StopReason::kHalted);
+  EXPECT_EQ(cache.stats().builds, 1u) << "an identical rewrite must not rebuild";
 
   Insn patch;
   patch.opcode = Opcode::kMovRI;
@@ -145,10 +278,92 @@ main:
   u8 raw[kInsnSize];
   patch.EncodeTo(raw);
   ASSERT_TRUE(bm.pm().WriteBlock(main_addr, raw, kInsnSize));
+  EXPECT_EQ(cache.stats().write_invalidations, 1u);
+  EXPECT_EQ(cache.generation(), 1u);
 
   bm.Start(main_addr, 0, kStackTop);
   ASSERT_EQ(bm.Run(10'000'000).reason, StopReason::kHalted);
   EXPECT_EQ(bm.cpu().reg(Reg::kEax), 2u);
+  EXPECT_EQ(cache.stats().builds, 2u);
+}
+
+// One write straddling two decoded pages: its bytes on the first page are
+// the ones already there, on the second they change a register field. Each
+// page is judged on its own — the first stays live, the second is rebuilt.
+TEST(DecodeCache, WriteStraddlingTwoPagesIsJudgedPerPage) {
+  BareMachine bm;
+  std::string diag;
+  const u32 base = kCodeBase + kPageSize - 2 * kInsnSize;  // slots 254-255
+  auto img = bm.LoadProgram(R"(
+  .global main
+main:
+  mov $1, %eax
+  mov $2, %ebx
+  mov $3, %ecx      ; first slot of the next page
+  hlt
+)",
+                            base, &diag);
+  ASSERT_TRUE(img.has_value()) << diag;
+  bm.Start(base, 0, kStackTop);
+  ASSERT_EQ(bm.Run(10'000'000).reason, StopReason::kHalted);
+  const DecodeCache& cache = bm.cpu().decode_cache();
+  ASSERT_EQ(cache.stats().builds, 2u);
+
+  // Bytes 8..15 of `mov $2, %ebx` and 0..7 of `mov $3, %ecx`, with the
+  // latter's r1 turned to EDX.
+  u8 span[kInsnSize];
+  std::memcpy(span, img->bytes.data() + kInsnSize + 8, kInsnSize);
+  span[8 + 3] = static_cast<u8>(Reg::kEdx);
+  ASSERT_TRUE(bm.pm().WriteBlock(kCodeBase + kPageSize - 8, span, kInsnSize));
+  EXPECT_EQ(cache.stats().writes_kept, 1u);
+  EXPECT_EQ(cache.stats().write_invalidations, 1u);
+
+  bm.Start(base, 0, kStackTop);
+  ASSERT_EQ(bm.Run(10'000'000).reason, StopReason::kHalted);
+  EXPECT_EQ(bm.cpu().reg(Reg::kEdx), 3u);
+  EXPECT_EQ(cache.stats().builds, 3u) << "only the changed page is rebuilt";
+}
+
+// The threaded-SMP barrier replays each epoch's logged page ranges to every
+// sibling decode cache (PhysicalMemory::NotifyRangeExcept). A replayed range
+// whose bytes decode as cached keeps the sibling's page; one whose bytes
+// changed — here behind the caches' backs, as a remote vCPU's store is
+// until the barrier — retires it. The excepted cache hears nothing.
+TEST(DecodeCache, RangeReplayKeepsUnchangedSiblingPage) {
+  BareMachineConfig config;
+  config.num_cpus = 2;
+  BareMachine bm(config);
+  Machine& m = bm.machine();
+  std::string diag;
+  auto img = bm.LoadProgram(R"(
+  .global main
+main:
+  mov $1, %eax
+  hlt
+)",
+                            kCodeBase, &diag);
+  ASSERT_TRUE(img.has_value()) << diag;
+  for (u32 c = 0; c < 2; ++c) {
+    bm.StartCpu(c, kCodeBase, 0, kStackTop - c * 0x2000);
+    ASSERT_EQ(m.cpu(c).Run(10'000'000).reason, StopReason::kHalted);
+  }
+  const DecodeCache& local = m.cpu(0).decode_cache();
+  const DecodeCache& sibling = m.cpu(1).decode_cache();
+
+  bm.pm().NotifyRangeExcept(kCodeBase, kCodeBase + kPageSize, &m.cpu(0).decode_cache());
+  EXPECT_EQ(sibling.stats().writes_kept, 1u);
+  EXPECT_EQ(sibling.stats().write_invalidations, 0u);
+
+  // `mov $1` becomes `mov $5` without a notification, then the replay.
+  bm.pm().FrameHostPtr(kCodeBase)[8] = 5;
+  bm.pm().NotifyRangeExcept(kCodeBase, kCodeBase + kPageSize, &m.cpu(0).decode_cache());
+  EXPECT_EQ(sibling.stats().write_invalidations, 1u);
+  EXPECT_EQ(sibling.generation(), 1u);
+  EXPECT_EQ(local.stats().writes_kept + local.stats().write_invalidations, 0u);
+
+  bm.StartCpu(1, kCodeBase, 0, kStackTop - 0x2000);
+  ASSERT_EQ(m.cpu(1).Run(10'000'000).reason, StopReason::kHalted);
+  EXPECT_EQ(m.cpu(1).reg(Reg::kEax), 5u);
 }
 
 // Kernel-style page remap: the same linear page is re-pointed at a different

@@ -10,6 +10,7 @@
 #ifndef TESTS_FUZZ_UTIL_H_
 #define TESTS_FUZZ_UTIL_H_
 
+#include <cstring>
 #include <vector>
 
 #include "src/hw/cpu.h"
@@ -37,14 +38,85 @@ struct FaultRecord {
   }
 };
 
+// Appends a store into the code page of the body based at `body_base`
+// (`body` is what has been built so far; slot 0 is the designated
+// `mov $imm, %edi`), using at most `room` slots. Three kinds, each a
+// different decode-cache decision:
+//  - random data into the spare slots past the program's end (the loop
+//    suffix is at most 4 slots): undecodable slots that sometimes turn
+//    decodable — mostly kept writes, now and then a retire;
+//  - a re-store of one word of an earlier body slot, the bytes already
+//    there: always kept;
+//  - `mov %ecx, %r; shr $k, %r; st8 %r, <imm byte of the designated mov>`
+//    with k in 5..8: the immediate changes every 2^k iterations, so the
+//    loop promotes between retires, and EDI, a scratch register, carries
+//    each new immediate into later results.
+inline void AppendCodeStore(u64* state, std::vector<Insn>* body, u32 body_base, u32 body_len,
+                            u32 room, Reg scratch) {
+  const u32 spare_begin = body_base + (body_len + 4) * kInsnSize;
+  const u32 page_end = (body_base & ~kPageMask) + kPageSize;
+  Insn in;
+  in.opcode = Opcode::kStoreI;
+  in.r2 = kNoBaseReg;
+  const u32 kind = NextRand(state) % 3;
+  if (kind == 2 && room >= 3) {
+    Insn mov;
+    mov.opcode = Opcode::kMovRR;
+    mov.r1 = static_cast<u8>(scratch);
+    mov.r2 = static_cast<u8>(Reg::kEcx);
+    body->push_back(mov);
+    Insn shr;
+    shr.opcode = Opcode::kShrRI;
+    shr.r1 = static_cast<u8>(scratch);
+    shr.imm = static_cast<i32>(5 + NextRand(state) % 4);
+    body->push_back(shr);
+    in.opcode = Opcode::kStore;
+    in.r1 = static_cast<u8>(scratch);
+    in.size = 1;
+    in.disp = static_cast<i32>(body_base + 8 + NextRand(state) % 4);
+  } else if (kind == 1 && body->size() > 1) {
+    const u32 slot = 1 + NextRand(state) % static_cast<u32>(body->size() - 1);
+    const u32 word = NextRand(state) % 4;
+    u8 raw[kInsnSize];
+    (*body)[slot].EncodeTo(raw);
+    u32 value = 0;
+    std::memcpy(&value, raw + 4 * word, 4);
+    in.imm = static_cast<i32>(value);
+    in.disp = static_cast<i32>(body_base + slot * kInsnSize + 4 * word);
+  } else {
+    if (NextRand(state) % 2) in.opcode = Opcode::kStore;  // stores EAX
+    in.imm = static_cast<i32>(NextRand(state));
+    const u32 r = NextRand(state) % 3;
+    in.size = static_cast<u8>(r == 0 ? 1 : (r == 1 ? 2 : 4));
+    in.disp = static_cast<i32>(spare_begin + NextRand(state) % (page_end - spare_begin - 3));
+  }
+  body->push_back(in);
+}
+
 // Pseudo-random straight-line body of `body_len` instruction slots based at
 // `body_base`, with loads/stores confined to [data_base, data_base +
 // data_span). ECX is the loop counter and ESP the stack pointer (never a
 // random destination, so iterations terminate).
+//
+// `code_stores` also mixes in stores to the body's own code page, the
+// writes a decode cache must judge (see AppendCodeStore); the body and the
+// loop's at most four closing slots must then leave at least one spare slot
+// on that page. Without it the draws, and so every existing seed's program,
+// are unchanged.
 inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
-                                       u32 data_base, u32 data_span) {
+                                       u32 data_base, u32 data_span,
+                                       bool code_stores = false) {
   std::vector<Insn> body;
   body.reserve(body_len);
+  // Slot 0 of a code-storing body is the designated `mov $imm, %edi` whose
+  // immediate AppendCodeStore's toggles rewrite.
+  if (code_stores) {
+    Insn mov;
+    mov.opcode = Opcode::kMovRI;
+    mov.r1 = static_cast<u8>(Reg::kEdi);
+    mov.imm = static_cast<i32>(NextRand(state));
+    body.push_back(mov);
+  }
   // EAX/EBX/EDX/EDI/EBP are fair game; ECX is the loop counter and ESP the
   // stack pointer (never a random destination, so iterations terminate).
   // ESI is reserved as the case-12 anchor register: its only writers are the
@@ -74,6 +146,11 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
       pop.r1 = pick_reg();
       body.push_back(pop);
       --depth;
+      continue;
+    }
+    if (code_stores && NextRand(state) % 8 == 0) {
+      AppendCodeStore(state, &body, body_base, body_len, remaining - depth,
+                      static_cast<Reg>(pick_reg()));
       continue;
     }
     Insn in;
@@ -225,7 +302,8 @@ inline bool FuzzLoopIsTopTested(u64 seed) { return (seed & 1) != 0; }
 // identical on both sides of each differential, which is all they need).
 inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 body_len,
                                                u32 code_base, u32 data_base,
-                                               u32 data_span, u32 esp_reset = 0) {
+                                               u32 data_span, u32 esp_reset = 0,
+                                               bool code_stores = false) {
   u64 state = seed * 0x9E3779B97F4A7C15ull + 1;
   const bool top_tested = FuzzLoopIsTopTested(seed);
   std::vector<Insn> program;
@@ -262,7 +340,8 @@ inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 bod
     program.push_back(je);
   }
   const u32 body_base = code_base + static_cast<u32>(program.size()) * kInsnSize;
-  std::vector<Insn> body = BuildFuzzBody(&state, body_base, body_len, data_base, data_span);
+  std::vector<Insn> body =
+      BuildFuzzBody(&state, body_base, body_len, data_base, data_span, code_stores);
   program.insert(program.end(), body.begin(), body.end());
   Insn dec;
   dec.opcode = Opcode::kDecR;

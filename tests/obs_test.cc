@@ -222,8 +222,8 @@ TEST(MetricsRegistry, SnapshotCoversEverySubsystem) {
   // One spot check per federated subsystem; the naming scheme is
   // <subsystem>[<index>].<group>.<counter> (see README "Observability").
   for (const char* key :
-       {"cpu0.cycles", "cpu1.tlb.misses", "cpu0.trace.calls", "sched.idle_cycles",
-        "sched.cpu0.context_switches", "nic.rx_frames", "nic.q0.rx_frames",
+       {"cpu0.cycles", "cpu1.tlb.misses", "cpu0.trace.calls", "cpu0.decode.writes_kept",
+        "sched.idle_cycles", "sched.cpu0.context_switches", "nic.rx_frames", "nic.q0.rx_frames",
         "dataplane.delivered", "dataplane.flow_upgrades",
         "kernel.smp.shootdown_ipis", "obs.profile.user", "obs.profile.total_cycles",
         "obs.trace.events", "obs.trace.dropped_events"}) {

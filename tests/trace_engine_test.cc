@@ -4,8 +4,11 @@
 // invalidation edges the tier must get exactly right — a self-modifying
 // store executing *inside* the hot trace, and an SMP remote store retiring
 // the trace's page mid-loop — plus lazy-flags exactness at a fault boundary,
-// cycle-limit slicing, the flight recorder's engine events, and the
-// RuntimeConfig table that maps every env switch to an engine setting.
+// the memory labels' segment windows and pin checks (byte and dword accesses
+// at a segment limit, a pinned PPL 0 page after a drop to CPL 3, pins made
+// stale by a PTE edit or CR3 reload), cycle-limit slicing, the flight
+// recorder's engine events, and the RuntimeConfig table that maps every env
+// switch to an engine setting.
 // Everywhere, the block engine with the tier disabled is the in-binary
 // differential oracle: registers, memory, cycles, TLB statistics, fault
 // streams must be byte-identical with the tier on or off.
@@ -13,8 +16,10 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/hw/bare_machine.h"
+#include "src/hw/paging.h"
 #include "src/hw/runtime_config.h"
 #include "src/hw/smp.h"
 #include "src/obs/trace.h"
@@ -32,10 +37,27 @@ struct TraceRunResult {
   u64 cycles = 0;
   u64 instructions = 0;
   u64 tlb_hits = 0;
+  u64 tlb_misses = 0;
   u64 dtlb_hits = 0;
+  u64 dtlb_misses = 0;
   bool dtlb_enabled = false;
   Cpu::TraceStats trace;
 };
+
+TraceRunResult Capture(const StopInfo& stop, const Cpu& cpu) {
+  TraceRunResult r;
+  r.stop = stop;
+  r.ctx = cpu.SaveContext();
+  r.cycles = cpu.cycles();
+  r.instructions = cpu.instructions_retired();
+  r.tlb_hits = cpu.tlb_stats().hits;
+  r.tlb_misses = cpu.tlb_stats().misses;
+  r.dtlb_hits = cpu.dtlb_stats().hits;
+  r.dtlb_misses = cpu.dtlb_stats().misses;
+  r.dtlb_enabled = cpu.dtlb_enabled();
+  r.trace = cpu.trace_stats();
+  return r;
+}
 
 // Assembles and runs `source` at kCodeBase with the trace tier on or off
 // (block engine always on — it is the tier's host) and returns final state.
@@ -50,26 +72,23 @@ TraceRunResult RunWithTrace(const std::string& source, bool trace,
   auto img = bm.LoadProgram(source, kCodeBase, &diag);
   EXPECT_TRUE(img.has_value()) << diag;
   bm.Start(*img->Lookup("main"), 0, kStackTop);
-  TraceRunResult r;
-  r.stop = bm.Run(cycle_limit);
-  r.ctx = bm.cpu().SaveContext();
-  r.cycles = bm.cpu().cycles();
-  r.instructions = bm.cpu().instructions_retired();
-  r.tlb_hits = bm.cpu().tlb_stats().hits;
-  r.dtlb_hits = bm.cpu().dtlb_stats().hits;
-  r.dtlb_enabled = bm.cpu().dtlb_enabled();
-  r.trace = bm.cpu().trace_stats();
-  return r;
+  const StopInfo stop = bm.Run(cycle_limit);
+  return Capture(stop, bm.cpu());
 }
 
 void ExpectSameState(const TraceRunResult& a, const TraceRunResult& b) {
   EXPECT_EQ(a.stop.reason, b.stop.reason);
+  EXPECT_EQ(a.stop.fault.vector, b.stop.fault.vector);
+  EXPECT_EQ(a.stop.fault.error_code, b.stop.fault.error_code);
+  EXPECT_EQ(a.stop.fault.linear_address, b.stop.fault.linear_address);
   EXPECT_EQ(a.cycles, b.cycles) << "cycle model diverged";
   EXPECT_EQ(a.instructions, b.instructions);
   EXPECT_EQ(a.ctx.eip, b.ctx.eip);
   EXPECT_EQ(a.ctx.eflags, b.ctx.eflags) << "EFLAGS diverged";
   EXPECT_EQ(a.tlb_hits, b.tlb_hits) << "TLB statistics diverged";
+  EXPECT_EQ(a.tlb_misses, b.tlb_misses);
   EXPECT_EQ(a.dtlb_hits, b.dtlb_hits) << "D-TLB statistics diverged";
+  EXPECT_EQ(a.dtlb_misses, b.dtlb_misses);
   for (u8 r = 0; r < kNumRegs; ++r) {
     EXPECT_EQ(a.ctx.regs[r], b.ctx.regs[r]) << "reg " << static_cast<int>(r);
   }
@@ -409,6 +428,199 @@ send:
       << "each entry should run the whole 7-instruction byte loop";
   EXPECT_LT(on.trace.calls, on.trace.entries / 100)
       << "the loop should iterate in place, not be re-entered per byte";
+}
+
+constexpr u32 kByteData = 0x20000;
+constexpr u32 kByteLoopHead = kCodeBase + 3 * kInsnSize;  // ByteSumLoop's `ld8`
+
+// Sums `count` bytes from DS:`start` with `ld8`, the one load of a checksum
+// loop, which the trace tier threads to its byte-load label.
+std::string ByteSumLoop(u32 start, u32 count) {
+  return R"(
+  .global main
+main:
+  mov $)" + std::to_string(count) + R"(, %ecx
+  mov $)" + std::to_string(start) + R"(, %esi
+  mov $0, %edx
+loop:
+  ld8 0(%esi), %eax
+  add %eax, %edx
+  add $1, %esi
+  dec %ecx
+  cmp $0, %ecx
+  jne loop
+  hlt
+)";
+}
+
+// The trace tier's memory labels against their oracle: one loop under
+// kTrace and under kBlock, the D-TLB on in both (its pins are what the
+// labels elide probes with), over a page of known bytes at kByteData. Every
+// Run slices both machines at the same cycle limit and checks they agree on
+// the stop, the architectural state and the TLB and D-TLB statistics.
+class TraceOraclePair {
+ public:
+  explicit TraceOraclePair(const std::string& source) {
+    std::vector<u8> bytes(kPageSize);
+    for (u32 i = 0; i < kPageSize; ++i) bytes[i] = static_cast<u8>(i * 7 + 3);
+    for (BareMachine* bm : {&on_, &off_}) {
+      bm->cpu().set_engine(bm == &on_ ? Engine::kTrace : Engine::kBlock);
+      bm->cpu().set_dtlb_enabled(true);
+      std::string diag;
+      auto img = bm->LoadProgram(source, kCodeBase, &diag);
+      EXPECT_TRUE(img.has_value()) << diag;
+      EXPECT_TRUE(bm->pm().WriteBlock(kByteData, bytes.data(), kPageSize));
+      bm->Start(*img->Lookup("main"), 0, kStackTop);
+    }
+  }
+
+  template <typename F>
+  void Both(F f) {
+    f(on_);
+    f(off_);
+  }
+
+  StopInfo Run(u64 cycle_limit) {
+    const StopInfo a = on_.Run(cycle_limit);
+    const StopInfo b = off_.Run(cycle_limit);
+    ExpectSameState(Capture(a, on_.cpu()), Capture(b, off_.cpu()));
+    return a;
+  }
+
+  // One-instruction slices (the block engine retires one instruction per
+  // slice that short) until both machines stand at `eip`.
+  void StepTo(u32 eip) {
+    for (int i = 0; i < 64 && on_.cpu().eip() != eip; ++i) Run(on_.cpu().cycles() + 1);
+    ASSERT_EQ(on_.cpu().eip(), eip);
+  }
+
+  const Cpu& traced() { return on_.cpu(); }
+
+ private:
+  BareMachine on_, off_;
+};
+
+// The loop reads the last byte of a 300-byte data segment, then faults with
+// #GP at the same `ld8` one byte past it: the label's window compare admits
+// exactly the offsets CheckSegmentAccess does.
+TEST(TraceEngine, ByteLoadFaultsOneBytePastItsSegment) {
+  constexpr u32 kLimit = 300;  // DS = [kByteData, kByteData + 300)
+  TraceOraclePair pair(ByteSumLoop(0, 1000));
+  pair.Both([](BareMachine& bm) {
+    bm.gdt().Set(BareMachine::kFirstFreeIdx, SegmentDescriptor::MakeData(kByteData, kLimit, 0));
+    ASSERT_TRUE(
+        bm.cpu().ForceSegment(SegReg::kDs, Selector::FromIndex(BareMachine::kFirstFreeIdx, 0)));
+  });
+  const StopInfo stop = pair.Run(10'000'000);
+  ASSERT_EQ(stop.reason, StopReason::kFault);
+  EXPECT_EQ(stop.fault.vector, FaultVector::kGeneralProtection);
+  EXPECT_EQ(pair.traced().reg(Reg::kEsi), kLimit);
+  EXPECT_EQ(pair.traced().eip(), kByteLoopHead) << "fault at the ld8";
+  u32 sum = 0;
+  for (u32 i = 0; i < kLimit; ++i) sum += static_cast<u8>(i * 7 + 3);
+  EXPECT_EQ(pair.traced().reg(Reg::kEdx), sum) << "the segment's last byte was read";
+  EXPECT_GE(pair.traced().trace_stats().promotions, 1u);
+  EXPECT_GT(pair.traced().trace_stats().probes_elided, 200u);
+}
+
+// The 4-byte load and store labels against a 303-byte data segment: the
+// dword at offset 300 would cover the byte at 303, one past the segment, so
+// the access there faults with #GP like the block engine's, after the one
+// at 296 succeeded.
+TEST(TraceEngine, DwordAccessFaultsWhereItWouldCrossTheSegmentLimit) {
+  constexpr u32 kLimit = 303;
+  for (const char* access : {"ld 0(%esi), %eax", "st %ecx, 0(%esi)"}) {
+    SCOPED_TRACE(access);
+    TraceOraclePair pair(std::string(R"(
+  .global main
+main:
+  mov $1000, %ecx
+  mov $0, %esi
+loop:
+  )") + access + R"(
+  add $4, %esi
+  dec %ecx
+  cmp $0, %ecx
+  jne loop
+  hlt
+)");
+    pair.Both([](BareMachine& bm) {
+      bm.gdt().Set(BareMachine::kFirstFreeIdx,
+                   SegmentDescriptor::MakeData(kByteData, kLimit, 0));
+      ASSERT_TRUE(bm.cpu().ForceSegment(SegReg::kDs,
+                                        Selector::FromIndex(BareMachine::kFirstFreeIdx, 0)));
+    });
+    const StopInfo stop = pair.Run(10'000'000);
+    ASSERT_EQ(stop.reason, StopReason::kFault);
+    EXPECT_EQ(stop.fault.vector, FaultVector::kGeneralProtection);
+    EXPECT_EQ(pair.traced().reg(Reg::kEsi), 300u);
+    EXPECT_GT(pair.traced().trace_stats().probes_elided, 50u);
+  }
+}
+
+// The loop runs at CPL 0 over a PPL 0 page long enough to pin it, then the
+// host drops the vCPU to CPL 3 at the loop head (no TLB change). The pin is
+// still live, but the label's privilege check must refuse it: the trace's
+// next `ld8` takes the generic path and raises the user-mode #PF.
+TEST(TraceEngine, ByteLoadPinRefusesPpl0PageAtCpl3) {
+  TraceOraclePair pair(ByteSumLoop(kByteData, 1000));
+  pair.Both([](BareMachine& bm) {
+    PageTableEditor ed(bm.pm(), bm.cpu().cr3(),
+                       [&](u32 linear) { bm.cpu().tlb().FlushPage(linear); });
+    ASSERT_TRUE(ed.UpdateFlags(kByteData, 0, kPteUser));
+  });
+  ASSERT_EQ(pair.Run(3'000).reason, StopReason::kCycleLimit);
+  pair.StepTo(kByteLoopHead);
+  const u64 elided = pair.traced().trace_stats().probes_elided;
+  EXPECT_GT(elided, 100u) << "the PPL 0 page must be pinned before the drop";
+  pair.Both([](BareMachine& bm) {
+    ASSERT_TRUE(bm.cpu().ForceSegment(SegReg::kCs, BareMachine::CodeSelector(3)));
+    for (SegReg sr : {SegReg::kSs, SegReg::kDs, SegReg::kEs}) {
+      ASSERT_TRUE(bm.cpu().ForceSegment(sr, BareMachine::DataSelector(3)));
+    }
+  });
+  const StopInfo stop = pair.Run(10'000'000);
+  ASSERT_EQ(stop.reason, StopReason::kFault);
+  EXPECT_EQ(stop.fault.vector, FaultVector::kPageFault);
+  EXPECT_EQ(stop.fault.error_code, kPfErrPresent | kPfErrUser);
+  EXPECT_EQ(stop.fault.linear_address, pair.traced().reg(Reg::kEsi));
+  EXPECT_EQ(pair.traced().trace_stats().probes_elided, elided);
+}
+
+// Between two slices, at the loop head, the host remaps the loop's data page
+// to another frame (a PTE edit with its INVLPG) or reloads CR3. Either bumps
+// the TLB change count, so the label's pin is stale: the next `ld8` refills
+// through the walk — reading the new frame after a remap — and re-pins,
+// after which probes are elided again.
+TEST(TraceEngine, ByteLoadPinGoesStaleBetweenSlices) {
+  constexpr u32 kAltFrame = 0x30000;
+  for (bool remap : {true, false}) {
+    SCOPED_TRACE(remap ? "PTE edit" : "CR3 reload");
+    TraceOraclePair pair(ByteSumLoop(kByteData, 1000));
+    ASSERT_EQ(pair.Run(3'000).reason, StopReason::kCycleLimit);
+    pair.StepTo(kByteLoopHead);
+    const u64 elided = pair.traced().trace_stats().probes_elided;
+    EXPECT_GT(elided, 100u);
+    pair.Both([&](BareMachine& bm) {
+      if (remap) {
+        const std::vector<u8> ones(kPageSize, 1);
+        ASSERT_TRUE(bm.pm().WriteBlock(kAltFrame, ones.data(), kPageSize));
+        PageTableEditor ed(bm.pm(), bm.cpu().cr3(),
+                           [&](u32 linear) { bm.cpu().tlb().FlushPage(linear); });
+        ASSERT_TRUE(ed.SetPte(kByteData, MakePte(kAltFrame, kPtePresent | kPteWrite | kPteUser)));
+      } else {
+        bm.cpu().LoadCr3(bm.cpu().cr3());
+      }
+    });
+    const u32 left = pair.traced().reg(Reg::kEcx);
+    const u32 edx = pair.traced().reg(Reg::kEdx);
+    ASSERT_EQ(pair.Run(10'000'000).reason, StopReason::kHalted);
+    EXPECT_GT(pair.traced().trace_stats().probes_elided, elided + left / 2)
+        << "the refilled pin must elide the rest of the loop's probes";
+    if (remap) {
+      EXPECT_EQ(pair.traced().reg(Reg::kEdx), edx + left) << "the rest came from the new frame";
+    }
+  }
 }
 
 // A guard taken on iteration k of a hot loop — long after promotion, with
