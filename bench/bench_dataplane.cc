@@ -124,7 +124,6 @@ struct DataplaneRun {
   u64 idle_cycles = 0;
   u64 steals = 0;
   u64 shootdown_ipis = 0;
-  u64 backlog_dropped = 0;
   u32 workers_exited = 0;
   // Host wall-clock spent inside the scheduler run — how fast the simulator
   // itself chewed through the workload, as opposed to every other field,
@@ -263,7 +262,6 @@ DataplaneRun RunInterruptDriven(u32 packets, u32 workers, u64 inter_arrival, u32
   out.napi_frames = dataplane.stats().napi_frames;
   out.steals = sched.stats().steals;
   out.shootdown_ipis = kernel.smp_stats().shootdown_ipis;
-  out.backlog_dropped = dataplane.stats().dropped_backlog_full;
   out.workers_exited = result.exited;
   out.host_wall_seconds =
       std::chrono::duration<double>(host_end - host_start).count();

@@ -521,8 +521,7 @@ int main() {
   // --- Scenario 2: live upgrade under traffic -------------------------------
   UpgradeOutcome up = RunUpgradeScenario(&registry);
   if (!up.ok) Die("upgrade scenario", "did not complete cleanly");
-  const u64 upgrade_drops = up.stats.dropped_queue_full + up.stats.dropped_dead_dest +
-                            up.stats.dropped_backlog_full;
+  const u64 upgrade_drops = up.stats.dropped_queue_full + up.stats.dropped_dead_dest;
   json.Set("upgrade_rx_frames", up.stats.rx_frames);
   json.Set("upgrade_served", static_cast<u64>(up.served));
   json.Set("upgrade_dropped_frames", upgrade_drops);

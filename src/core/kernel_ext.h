@@ -74,7 +74,6 @@ class KernelExtensionManager {
   void RegisterService(u32 number, ServiceFn fn);
   u64 packets_output() const { return packets_output_; }
   const std::string& printk_output() const { return printk_output_; }
-  void ClearPrintk() { printk_output_.clear(); }
 
   struct ExtensionState {
     std::string name;

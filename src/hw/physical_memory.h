@@ -141,11 +141,6 @@ class PhysicalMemory {
     *out = bytes_[addr];
     return true;
   }
-  bool Read16(u32 addr, u16* out) const {
-    if (!Contains(addr, 2)) return false;
-    std::memcpy(out, &bytes_[addr], 2);
-    return true;
-  }
   bool Read32(u32 addr, u32* out) const {
     if (!Contains(addr, 4)) return false;
     std::memcpy(out, &bytes_[addr], 4);

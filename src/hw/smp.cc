@@ -5,67 +5,75 @@
 
 namespace palladium {
 
+namespace {
+
+// The frontier vCPU: the live vCPU with the smallest counter, lowest index
+// on ties (cpu == num_cpus when every vCPU is parked), and the second-
+// smallest live counter.
+struct FrontierPick {
+  u32 cpu;
+  u64 cycles = ~0ull;
+  u64 second = ~0ull;
+};
+
+template <typename IsParked>
+FrontierPick PickFrontier(const Machine& machine, IsParked is_parked) {
+  const u32 n = machine.num_cpus();
+  FrontierPick f{n};
+  for (u32 c = 0; c < n; ++c) {
+    if (is_parked(c)) continue;
+    const u64 cy = machine.cpu(c).cycles();
+    if (f.cpu == n || cy < f.cycles) {
+      f.second = f.cycles;
+      f.cycles = cy;
+      f.cpu = c;
+    } else {
+      f.second = std::min(f.second, cy);
+    }
+  }
+  return f;
+}
+
+}  // namespace
+
+void SmpEventQueue::Add(u64 cycle, EventFn fn) { events_.emplace(cycle, std::move(fn)); }
+
+void SmpEventQueue::FireDue(u64 frontier) {
+  // Pop before calling: an event may add events.
+  while (!events_.empty() && events_.begin()->first <= frontier) {
+    EventFn fn = std::move(events_.begin()->second);
+    events_.erase(events_.begin());
+    fn();
+  }
+}
+
 SmpInterleaver::SmpInterleaver(Machine& machine)
     : machine_(machine), parked_(machine.num_cpus(), false) {}
 
-void SmpInterleaver::AddEvent(u64 cycle, EventFn fn) {
-  events_.push_back(Event{cycle, next_seq_++, std::move(fn), false});
-  std::stable_sort(events_.begin(), events_.end(), [](const Event& a, const Event& b) {
-    return a.cycle != b.cycle ? a.cycle < b.cycle : a.seq < b.seq;
-  });
-}
-
 u64 SmpInterleaver::Frontier() const {
-  u64 frontier = ~0ull;
-  for (u32 c = 0; c < machine_.num_cpus(); ++c) {
-    if (!parked_[c]) frontier = std::min(frontier, machine_.cpu(c).cycles());
-  }
-  return frontier;
+  return PickFrontier(machine_, [this](u32 c) { return parked_[c]; }).cycles;
 }
 
 void SmpInterleaver::Run(u64 cycle_limit, const StopHandler& on_stop) {
-  const u32 n = machine_.num_cpus();
   for (;;) {
-    // Pick the frontier vCPU: minimum counter, lowest index on ties.
-    u32 c = n;
-    u64 min_cycles = ~0ull;
-    u64 second = ~0ull;
-    for (u32 i = 0; i < n; ++i) {
-      if (parked_[i]) continue;
-      const u64 cy = machine_.cpu(i).cycles();
-      if (c == n || cy < min_cycles) {
-        second = min_cycles;
-        min_cycles = cy;
-        c = i;
-      } else {
-        second = std::min(second, cy);
-      }
-    }
-    if (c == n) return;  // everyone parked
-    if (min_cycles >= cycle_limit) return;
+    const FrontierPick f = PickFrontier(machine_, [this](u32 c) { return parked_[c]; });
+    if (f.cpu == machine_.num_cpus()) return;  // everyone parked
+    if (f.cycles >= cycle_limit) return;
+    const u32 c = f.cpu;
 
+    // Fire due host-side events at the frontier vCPU, before any further
+    // retire.
     machine_.set_current_cpu(c);
-
-    // Fire due host-side events at the frontier, before any further retire.
-    u64 next_event = ~0ull;
-    for (Event& e : events_) {
-      if (e.fired) continue;
-      if (e.cycle <= min_cycles) {
-        e.fired = true;
-        e.fn();
-      } else {
-        next_event = e.cycle;
-        break;
-      }
-    }
+    events_.FireDue(f.cycles);
+    const u64 next_event = events_.next_cycle();
 
     // Run the frontier vCPU only until it stops being the minimum (or hits
     // the global limit / the next scripted event). `+1` guarantees at least
     // one retired instruction on exact ties, keeping the round-robin strict.
     u64 stop_at = cycle_limit;
-    if (second != ~0ull) stop_at = std::min(stop_at, second + 1);
+    if (f.second != ~0ull) stop_at = std::min(stop_at, f.second + 1);
     if (next_event != ~0ull) stop_at = std::min(stop_at, next_event);
-    if (stop_at <= min_cycles) stop_at = min_cycles + 1;
+    if (stop_at <= f.cycles) stop_at = f.cycles + 1;
 
     StopInfo stop = machine_.cpu(c).Run(stop_at);
     if (stop.reason == StopReason::kCycleLimit) continue;  // slice boundary
@@ -102,29 +110,12 @@ ThreadedSmp::ThreadedSmp(Machine& machine, u64 epoch_cycles)
       epoch_cycles_(epoch_cycles),
       barrier_(machine.num_cpus()),
       parked_(machine.num_cpus()),
-      lanes_(machine.num_cpus()),
-      remote_(machine.num_cpus()) {
+      lanes_(machine.num_cpus()) {
   if (epoch_cycles_ == 0) throw std::invalid_argument("ThreadedSmp: epoch_cycles must be > 0");
 }
 
-void ThreadedSmp::AddEvent(u64 cycle, EventFn fn) {
-  events_.push_back(Event{cycle, next_seq_++, std::move(fn), false});
-  std::stable_sort(events_.begin(), events_.end(), [](const Event& a, const Event& b) {
-    return a.cycle != b.cycle ? a.cycle < b.cycle : a.seq < b.seq;
-  });
-}
-
-void ThreadedSmp::StageRemoteWork(u32 target, RemoteFn fn) {
-  std::lock_guard<std::mutex> lock(remote_mu_);
-  remote_[target].push_back(std::move(fn));
-}
-
 u64 ThreadedSmp::Frontier() const {
-  u64 frontier = ~0ull;
-  for (u32 c = 0; c < machine_.num_cpus(); ++c) {
-    if (!parked(c)) frontier = std::min(frontier, machine_.cpu(c).cycles());
-  }
-  return frontier;
+  return PickFrontier(machine_, [this](u32 c) { return parked(c); }).cycles;
 }
 
 void ThreadedSmp::SerialBarrierWork(u64 cycle_limit) {
@@ -145,64 +136,32 @@ void ThreadedSmp::SerialBarrierWork(u64 cycle_limit) {
     lane.last_end = 0;
   }
 
-  // (2) Drain staged remote work: FIFO per target, targets in index order.
-  {
-    std::vector<std::vector<RemoteFn>> staged(n);
-    {
-      std::lock_guard<std::mutex> lock(remote_mu_);
-      staged.swap(remote_);
-      remote_.resize(n);
-    }
-    for (u32 c = 0; c < n; ++c) {
-      for (RemoteFn& fn : staged[c]) fn(machine_.cpu(c));
-    }
-  }
-
-  // (3) Fire due scripted events with exactly the interleaver's rules, then
+  // (2) Fire due scripted events with exactly the interleaver's rules, then
   // pick the next barrier. Every live vCPU sits at its first retire
   // boundary >= the frontier — the same machine state the interleaver has
   // when its frontier first reaches that cycle — so firing here is
   // byte-equivalent for data-race-free workloads.
   for (;;) {
-    u64 frontier = ~0ull;
-    u32 argmin = n;
-    for (u32 c = 0; c < n; ++c) {
-      if (parked(c)) continue;
-      const u64 cy = machine_.cpu(c).cycles();
-      if (argmin == n || cy < frontier) {
-        frontier = cy;
-        argmin = c;
-      }
-    }
-    if (argmin == n || frontier >= cycle_limit) {
+    const FrontierPick f = PickFrontier(machine_, [this](u32 c) { return parked(c); });
+    if (f.cpu == n || f.cycles >= cycle_limit) {
       // The interleaver returns before firing events once the frontier
       // reaches the limit (an event below the limit stays unfired when
       // every vCPU overshoots past it); replicate that exactly.
       done_.store(true, std::memory_order_release);
       return;
     }
-    u64 next_event = ~0ull;
-    bool fired = false;
-    for (Event& e : events_) {
-      if (e.fired) continue;
-      if (e.cycle <= frontier) {
-        if (!fired) machine_.set_current_cpu(argmin);
-        e.fired = true;
-        fired = true;
-        e.fn();
-      } else {
-        next_event = e.cycle;
-        break;
-      }
+    if (events_.next_cycle() <= f.cycles) {
+      machine_.set_current_cpu(f.cpu);
+      events_.FireDue(f.cycles);
+      continue;  // events may Park/Unpark: recompute the frontier
     }
-    if (fired) continue;  // events may Park/Unpark: recompute the frontier
 
     if (hook_) hook_(next_barrier_.load(std::memory_order_relaxed));
 
     // Never schedule a barrier past an unfired event: a thread must not run
     // beyond the cycle where the interleaver would have fired it.
-    u64 next = std::min(cycle_limit, (frontier / epoch_cycles_ + 1) * epoch_cycles_);
-    if (next_event != ~0ull) next = std::min(next, next_event);
+    const u64 next = std::min({cycle_limit, (f.cycles / epoch_cycles_ + 1) * epoch_cycles_,
+                               events_.next_cycle()});
     next_barrier_.store(next, std::memory_order_relaxed);
     return;
   }

@@ -19,25 +19,26 @@
 // Host-side events (scripted PTE edits with cross-CPU shootdown, fault
 // injection, ...) register against a *global* cycle threshold and fire the
 // first time the frontier — the minimum counter over live vCPUs — reaches
-// it, again a deterministic point.
+// it, again a deterministic point. Both harnesses keep them in one
+// SmpEventQueue and pick the frontier with one rule.
 //
 // ThreadedSmp model: one host thread per vCPU. Each thread runs its vCPU
 // freely up to the next *epoch barrier* cycle, then all threads rendezvous;
 // the last arriver performs the serial barrier work (replay deferred
-// cross-CPU invalidations, drain staged remote work, fire due scripted
-// events with exactly the interleaver's ordering rules, pick the next
-// barrier) and releases the epoch. The barrier schedule is chosen so that no
-// thread ever runs past an unfired event: the next barrier is
-// min(next epoch-grid point, next unfired event cycle, cycle limit), and a
-// vCPU stopping at barrier B sits at its first retire boundary >= B — which
-// is precisely the state the interleaver has when its frontier first reaches
-// B. Hence for *data-race-free* workloads (no two vCPUs touch the same
-// bytes within an epoch, except via the staged cross-CPU channels) the
-// threaded mode reaches byte-identical final state, cycle counters and
-// event streams. Racy workloads get whatever the host memory system gives
-// them — the interleaver remains the oracle for those, which is why it
-// stays the default: a caller gets threaded mode only by constructing a
-// ThreadedSmp.
+// cross-CPU invalidations, fire due scripted events with exactly the
+// interleaver's ordering rules, pick the next barrier) and releases the
+// epoch. The barrier schedule is chosen so that no thread ever runs past an
+// unfired event: the next barrier is min(next epoch-grid point, next
+// unfired event cycle, cycle limit), and a vCPU stopping at barrier B sits
+// at its first retire boundary >= B — which is precisely the state the
+// interleaver has when its frontier first reaches B. Hence for
+// *data-race-free* workloads (no two vCPUs touch the same bytes within an
+// epoch; a change to a sibling's state goes through a scripted event in the
+// serial window) the threaded mode reaches byte-identical final state,
+// cycle counters and event streams. Racy workloads get whatever the host
+// memory system gives them — the interleaver remains the oracle for those,
+// which is why it stays the default: a caller gets threaded mode only by
+// constructing a ThreadedSmp.
 //
 // The kernel's Scheduler implements this same min-cycle discipline itself
 // (it needs scheduling decisions interleaved with the stepping); these
@@ -48,6 +49,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -56,19 +58,37 @@
 
 namespace palladium {
 
+// The scripted host-side events of one harness. Each fires once, the first
+// time the frontier reaches its cycle; due events fire in cycle order, ties
+// in registration order. The caller decides which vCPU is current while
+// they fire and never fires once the frontier has reached its cycle limit.
+class SmpEventQueue {
+ public:
+  using EventFn = std::function<void()>;
+
+  void Add(u64 cycle, EventFn fn);
+  // Fires every event due at `frontier` (cycle <= frontier), in order.
+  void FireDue(u64 frontier);
+  // Cycle of the earliest unfired event; ~0 when none is left.
+  u64 next_cycle() const { return events_.empty() ? ~0ull : events_.begin()->first; }
+
+ private:
+  std::multimap<u64, EventFn> events_;  // equal keys keep insertion order
+};
+
 class SmpInterleaver {
  public:
   // Return value of the stop handler: keep stepping this vCPU or park it.
   // A parked vCPU no longer advances and no longer holds back the frontier.
   using StopHandler = std::function<bool(u32 cpu_index, const StopInfo& stop)>;
-  using EventFn = std::function<void()>;
+  using EventFn = SmpEventQueue::EventFn;
 
   explicit SmpInterleaver(Machine& machine);
 
   // Registers a host-side action fired once, when the frontier first
   // reaches `cycle`. Events fire in cycle order (ties: registration order),
   // with the machine's current vCPU set to the frontier vCPU.
-  void AddEvent(u64 cycle, EventFn fn);
+  void AddEvent(u64 cycle, EventFn fn) { events_.Add(cycle, std::move(fn)); }
 
   void Park(u32 cpu_index) { parked_[cpu_index] = true; }
   void Unpark(u32 cpu_index) { parked_[cpu_index] = false; }
@@ -83,17 +103,9 @@ class SmpInterleaver {
   u64 Frontier() const;
 
  private:
-  struct Event {
-    u64 cycle;
-    u64 seq;  // registration order for stable tie-break
-    EventFn fn;
-    bool fired = false;
-  };
-
   Machine& machine_;
   std::vector<bool> parked_;
-  std::vector<Event> events_;
-  u64 next_seq_ = 0;
+  SmpEventQueue events_;
 };
 
 // Sense-reversing rendezvous for one epoch generation. C++17 has no
@@ -135,15 +147,14 @@ class EpochBarrier {
 //    including Park/Unpark and Machine::set_current_cpu.
 //  - AddEvent is setup-time (before Run) or event-time (from an event fn);
 //    calling it from on_stop would race the serial scheduler.
-//  - StageRemoteWork may be called from any thread (it is the mid-epoch
-//    cross-CPU channel); the staged fn runs against the *target* vCPU in
-//    the serial window of the next barrier — "delivered no later than the
-//    next barrier on every sibling".
+//  - There is no mid-epoch cross-CPU channel: a scripted event is how a
+//    bare harness changes a sibling mid-run. The kernel's RemoteOp queue
+//    (Kernel::StageRemoteOp) is the channel a kernel-level epoch loop
+//    will drain at barriers; no harness drives it yet.
 class ThreadedSmp {
  public:
   using StopHandler = SmpInterleaver::StopHandler;
-  using EventFn = SmpInterleaver::EventFn;
-  using RemoteFn = std::function<void(Cpu&)>;
+  using EventFn = SmpEventQueue::EventFn;
   using BarrierHook = std::function<void(u64 barrier_cycle)>;
 
   // "A few thousand simulated cycles": long enough to amortize the barrier
@@ -156,18 +167,14 @@ class ThreadedSmp {
   // computed by dividing by it).
   explicit ThreadedSmp(Machine& machine, u64 epoch_cycles = kDefaultEpochCycles);
 
-  void AddEvent(u64 cycle, EventFn fn);
+  void AddEvent(u64 cycle, EventFn fn) { events_.Add(cycle, std::move(fn)); }
   void Park(u32 cpu_index) { parked_[cpu_index].store(true, std::memory_order_relaxed); }
   void Unpark(u32 cpu_index) { parked_[cpu_index].store(false, std::memory_order_relaxed); }
   bool parked(u32 cpu_index) const {
     return parked_[cpu_index].load(std::memory_order_relaxed);
   }
 
-  // Queues `fn` to run against vCPU `target` in the next barrier's serial
-  // window. Thread-safe. Drained in target-index order, FIFO per target.
-  void StageRemoteWork(u32 target, RemoteFn fn);
-
-  // Invoked in the serial window of every barrier (after replay/drain/event
+  // Invoked in the serial window of every barrier (after replay and event
   // firing) with the barrier's cycle. Used by the differential fuzz to
   // sample per-epoch cycle counters.
   void set_barrier_hook(BarrierHook hook) { hook_ = std::move(hook); }
@@ -182,17 +189,10 @@ class ThreadedSmp {
   u64 Frontier() const;
 
  private:
-  struct Event {
-    u64 cycle;
-    u64 seq;
-    EventFn fn;
-    bool fired = false;
-  };
-
   void WorkerLoop(u32 cpu_index, const StopHandler& on_stop);
-  // Last arriver only: replay write-lane logs to sibling observers, drain
-  // staged remote work, fire due events with the interleaver's rules, pick
-  // the next barrier cycle or declare the run done.
+  // Last arriver only: replay write-lane logs to sibling observers, fire
+  // due events with the interleaver's rules, pick the next barrier cycle or
+  // declare the run done.
   void SerialBarrierWork(u64 cycle_limit);
 
   Machine& machine_;
@@ -200,13 +200,10 @@ class ThreadedSmp {
   EpochBarrier barrier_;
   std::vector<std::atomic<bool>> parked_;
   std::vector<PhysicalMemory::WriteLane> lanes_;
-  std::vector<Event> events_;
-  u64 next_seq_ = 0;
+  SmpEventQueue events_;
   std::atomic<u64> next_barrier_{0};
   std::atomic<bool> done_{false};
   u64 cycle_limit_ = 0;
-  std::mutex remote_mu_;
-  std::vector<std::vector<RemoteFn>> remote_;
   BarrierHook hook_;
 };
 

@@ -37,7 +37,6 @@ Kernel::Kernel(Machine& machine, const Config& config)
     fabric_.push_back(std::make_unique<CpuIrqFabric>());
     fabric_.back()->hub.AddDevice(&fabric_.back()->timer);
   }
-  if (config_.timer_interrupts) EnableTimerInterrupts();
 
   // Kernel page-directory template: one page directory whose kernel half
   // (PDEs for >= 3 GB) is copied into every process. All 256 kernel page
@@ -93,7 +92,7 @@ void Kernel::EnableTimerInterrupts() {
   if (interrupts_enabled_) return;
   interrupts_enabled_ = true;
   const u64 period =
-      config_.timer_period_cycles != 0 ? config_.timer_period_cycles : config_.timer_slice_cycles;
+      config_.timer_period_cycles != 0 ? config_.timer_period_cycles : kTimerSliceCycles;
   for (u32 c = 0; c < machine_.num_cpus(); ++c) {
     machine_.cpu(c).set_irq_hub(&fabric_[c]->hub);
     fabric_[c]->timer.Program(period, machine_.cpu(c).cycles());
@@ -681,11 +680,7 @@ void Kernel::ExtensionWatchdogTick(Process& proc) {
       proc.ext_cycle_start = cpu().cycles();
     } else if (cpu().cycles() - proc.ext_cycle_start > config_.extension_cycle_limit) {
       proc.in_extension = false;
-      if (time_limit_hook_) {
-        time_limit_hook_(*this, proc);
-      } else {
-        DeliverSignal(proc, kSigXcpu);
-      }
+      DeliverSignal(proc, kSigXcpu);
     }
   } else {
     proc.in_extension = false;
@@ -817,7 +812,7 @@ RunResult Kernel::RunProcess(Pid pid, u64 cycle_budget) {
     // frontier, so watchdog and slice accounting are engine-independent.
     u64 slice_end = deadline;
     if (!interrupts_enabled_) {
-      slice_end = cpu().cycles() + config_.timer_slice_cycles;
+      slice_end = cpu().cycles() + kTimerSliceCycles;
       if (slice_end > deadline) slice_end = deadline;
     }
     StopInfo stop = cpu().Run(slice_end);
@@ -1100,12 +1095,6 @@ void Kernel::HandleFault(const StopInfo& stop) {
     }
   }
 
-  // Kernel-extension (SPL 1) and application-segment (SPL 2) faults go to
-  // the Palladium module first.
-  if ((cpl == 1 || cpl == 2) && extension_fault_hook_ && extension_fault_hook_(*this, stop)) {
-    return;
-  }
-
   // Palladium user-extension containment: fault raised by SPL 3 code in an
   // SPL 2 process delivers SIGSEGV to the extended application.
   if (proc.task_spl == 2 && cpl == 3) {
@@ -1324,6 +1313,15 @@ void Kernel::SysFork() {
     return;
   }
   Process& child = *process(child_pid);
+  // A fork that fails leaves no half-built child behind: its frames return
+  // to the allocator and its pid leaves the process table before any
+  // scheduler can see it.
+  auto discard_child = [&] {
+    ReleaseAddressSpace(child);
+    frames_.Free(child.kernel_stack_frame);
+    frames_.Free(child.cr3);
+    processes_.erase(child_pid);
+  };
   // Clone the memory map eagerly (no COW in the prototype kernel).
   child.areas = parent.areas;
   child.brk = parent.brk;
@@ -1347,15 +1345,17 @@ void Kernel::SysFork() {
     for (u32 a = area.start; a < area.end; a += kPageSize) {
       u32 pte = 0;
       if (!ped.GetPte(a, &pte) || !(pte & kPtePresent)) continue;
-      u32 frame = frames_.Alloc();
-      if (frame == 0) {
+      const u32 frame = frames_.Alloc();
+      if (frame == 0 ||
+          !ced.Map(a, frame, pte & kPteFlagsMask, [this] { return frames_.Alloc(); })) {
+        if (frame != 0) frames_.Free(frame);  // its page table did not fit
+        discard_child();
         ReturnFromGate(kErrNoMem);
         return;
       }
       u8 buf[kPageSize];
       pm.ReadBlock(pte & kPteFrameMask, buf, kPageSize);
       pm.WriteBlock(frame, buf, kPageSize);
-      ced.Map(a, frame, pte & kPteFlagsMask, [this] { return frames_.Alloc(); });
       ++copied_pages;
     }
   }
@@ -1364,6 +1364,7 @@ void Kernel::SysFork() {
   // The child resumes at the syscall return point with EAX = 0.
   GateFrame frame;
   if (!PeekGateFrame(&frame) || !frame.has_outer_stack) {
+    discard_child();
     KillCurrent("fork: unreadable gate frame");
     return;
   }
@@ -1380,6 +1381,10 @@ void Kernel::SysFork() {
   ctx.segs[static_cast<u8>(SegReg::kSs)] = MakeLoaded(gdt, ss_sel);
   // DS/ES as currently loaded in the parent.
   child.context = ctx;
+  // The child joins the forking vCPU's ready queue, stamped with the clock
+  // after fork's copy cost: it cannot start, on this core or a sibling that
+  // steals it, before the fork that created it.
+  if (sched_ != nullptr) sched_->AddProcess(child_pid, machine_.current_cpu_index());
 
   ReturnFromGate(child_pid);
 }

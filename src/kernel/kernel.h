@@ -59,15 +59,15 @@ class Kernel {
  public:
   struct Config {
     u64 extension_cycle_limit = 5'000'000;  // per-invocation CPU-time cap
-    u64 timer_slice_cycles = 50'000;        // granularity of the limit check
-    // Hardware-timer interrupt delivery. Off by default: the cooperative
-    // slice check in RunProcess then performs the same watchdog duties, so
-    // existing single-process callers observe byte-identical behavior.
-    // Attaching a Scheduler enables it (preemption needs a timer).
-    bool timer_interrupts = false;
-    u64 timer_period_cycles = 0;  // 0 = timer_slice_cycles
+    u64 timer_period_cycles = 0;  // hardware timer period; 0 = kTimerSliceCycles
     KernelCosts costs;
   };
+
+  // Granularity of the extension time-limit check: RunProcess's cooperative
+  // slice while hardware timer interrupts are off (until
+  // EnableTimerInterrupts, which attaching a Scheduler calls), and the
+  // default timer period once they are on.
+  static constexpr u64 kTimerSliceCycles = 50'000;
 
   explicit Kernel(Machine& machine);
   Kernel(Machine& machine, const Config& config);
@@ -133,7 +133,7 @@ class Kernel {
   // Reads a NUL-terminated string from the current process (max 256 bytes).
   std::optional<std::string> ReadUserString(Process& proc, u32 linear);
 
-  // --- Host-call and fault hooks (used by src/core) ---------------------------
+  // --- Host-call hooks (used by src/core) --------------------------------------
   // Handler receives the kernel; return value semantics: the handler is
   // responsible for adjusting CPU state (e.g. ReturnFromGate).
   using HostCallHandler = std::function<void(Kernel&)>;
@@ -141,17 +141,6 @@ class Kernel {
   u32 AllocateHostCallId();
   // Linear address of a host entry (for gate targets): kernel-segment offset.
   static u32 HostEntryOffset(u32 id) { return id * kInsnSize; }
-
-  // Fault hook: invoked for faults raised at CPL 1/2 (kernel-extension and
-  // application-segment contexts). Returns true if handled (execution may
-  // continue or the context was redirected); false falls through to the
-  // default handler.
-  using FaultHook = std::function<bool(Kernel&, const StopInfo&)>;
-  void SetExtensionFaultHook(FaultHook hook) { extension_fault_hook_ = std::move(hook); }
-
-  // Hook consulted when the extension time limit fires (user extensions).
-  using TimeLimitHook = std::function<void(Kernel&, Process&)>;
-  void SetTimeLimitHook(TimeLimitHook hook) { time_limit_hook_ = std::move(hook); }
 
   // --- Interrupts --------------------------------------------------------------
   // The kernel owns the interrupt fabric: one PIC + hub + local interval
@@ -204,21 +193,23 @@ class Kernel {
   // (exec, init_PL): flushes every CPU running `cr3`.
   void FlushAddressSpace(u32 cr3);
 
-  // --- Epoch-staged cross-CPU work (threaded SMP mode) ----------------------
+  // --- Epoch-staged cross-CPU work ---------------------------------------------
   // With staging on, the *remote* side of every cross-CPU operation —
   // sibling TLB shootdowns/flushes, IPIs, sibling decode-cache frame
   // evictions, cross-queue scheduler wakeups — is queued per target instead
-  // of applied synchronously. The threaded harness drains each target's
-  // queue (DrainRemoteOps) in the quiesced epoch-barrier window, so remote
-  // effects land no later than the next barrier, which is the delivery
-  // contract ThreadedSmp promises. Local effects (the initiator's own
-  // INVLPG/flush/evict) stay synchronous either way. Staging is off by
+  // of applied synchronously, and DrainRemoteOps applies a target's queue.
+  // This is the one staging channel: a kernel-level epoch loop is to
+  // drain every target in the quiesced barrier window, so that remote
+  // effects land no later than the next barrier. Nothing drives it yet:
+  // ThreadedSmp runs bare machines and never calls DrainRemoteOps; only
+  // tests switch staging on and drain it. Local effects (the initiator's
+  // own INVLPG/flush/evict) stay synchronous either way. Staging is off by
   // default: the interleaver's synchronous protocol remains the oracle and
   // the default semantics.
   //
-  // Staging may be requested from any thread (StageRemoteWork-style
-  // channels); draining and the initiator-side recorder events assume the
-  // caller is in a quiesced/serial context with current_cpu meaningful.
+  // StageRemoteOp may be called from any thread; draining and the
+  // initiator-side recorder events assume the caller is in a
+  // quiesced/serial context with current_cpu meaningful.
   struct RemoteOp {
     enum class Kind : u8 { kFlushPage, kFlushAll, kIpi, kEvictFrame, kWake };
     Kind kind;
@@ -310,7 +301,6 @@ class Kernel {
 
   // --- Console ----------------------------------------------------------------
   const std::string& console() const { return console_; }
-  void ClearConsole() { console_.clear(); }
 
   // The process running on the *current* vCPU (the one whose trap the
   // kernel is servicing), and per-CPU lookup for schedulers/harnesses.
@@ -406,8 +396,6 @@ class Kernel {
   std::map<u32, HostCallHandler> host_calls_;
   u32 next_host_call_id_ = kHostEntryFirstFree;
   std::map<u32, SyscallHandler> extra_syscalls_;
-  FaultHook extension_fault_hook_;
-  TimeLimitHook time_limit_hook_;
   KextInvoker kext_invoker_;
 
   std::string console_;

@@ -56,10 +56,10 @@ void Scheduler::OnWake(Pid pid) {
       proc != nullptr && proc->home_cpu < cpus_.size() ? proc->home_cpu : 0;
   const u32 cur_cpu = kernel_.machine().current_cpu_index();
   if (kernel_.stage_remote_ops() && home != cur_cpu) {
-    // Threaded mode: a cross-CPU wakeup must not touch the sibling's ready
+    // Staged mode: a cross-CPU wakeup must not touch the sibling's ready
     // queue mid-epoch. Stage it (with the waker's stamp, preserving
-    // causality); the barrier drain enqueues it and kicks the target with a
-    // resched IPI if it is busy — delivery no later than the next barrier.
+    // causality); the drain enqueues it and kicks the target with a resched
+    // IPI if it is busy.
     if (proc != nullptr) proc->sched_queued = true;  // dedupe repeat wakes
     kernel_.StageRemoteOp(
         home, Kernel::RemoteOp{Kernel::RemoteOp::Kind::kWake, pid, 0,
@@ -79,9 +79,9 @@ void Scheduler::OnWake(Pid pid) {
 }
 
 void Scheduler::ApplyStagedWake(u32 target_cpu, Pid pid, u64 stamp) {
-  // Barrier-drain half of the staged OnWake above: runs in the quiesced
-  // serial window with current_cpu == target (Kernel::DrainRemoteOps), so
-  // the direct enqueue and the busy-core resched kick are safe again.
+  // Drain half of the staged OnWake above: runs in a quiesced serial
+  // context with current_cpu == target (Kernel::DrainRemoteOps), so the
+  // direct enqueue and the busy-core resched kick are safe again.
   Enqueue(target_cpu, pid, stamp, /*front=*/false);
   if (kernel_.current(target_cpu) != nullptr) {
     kernel_.SendIpi(target_cpu, kIrqIpiResched);
@@ -114,7 +114,7 @@ bool Scheduler::Dispatch(u32 c, u64 deadline) {
   if (m.cpu(c).cycles() >= deadline) return false;  // this vCPU is out of budget
   u64 stamp = 0;
   Pid pid = PopRunnable(cpus_[c].ready, /*from_back=*/false, &stamp);
-  if (pid == 0 && config_.work_stealing && cpus_.size() > 1) {
+  if (pid == 0 && cpus_.size() > 1) {
     // Steal from the back of the longest sibling queue.
     u32 victim = static_cast<u32>(cpus_.size());
     size_t best = 0;
@@ -131,26 +131,7 @@ bool Scheduler::Dispatch(u32 c, u64 deadline) {
       }
     }
   }
-  if (pid == 0) {
-    // Adopt a stray runnable (a fork child, or a process woken outside
-    // OnWake): it joins this vCPU at the current frontier. The scan is
-    // O(processes × vCPUs) but runs only when this vCPU found nothing to
-    // run or steal, and process counts in this kernel are tens at most;
-    // keeping it here (rather than only in the machine-idle path) is what
-    // lets a fork child start while its parent keeps a sibling core busy.
-    for (const auto& [p, proc] : kernel_.processes_) {
-      if (proc->state != ProcessState::kRunnable || proc->sched_queued) continue;
-      bool is_current = false;
-      for (u32 cc = 0; cc < cpus_.size(); ++cc) {
-        if (kernel_.current(cc) == proc.get()) is_current = true;
-      }
-      if (is_current) continue;
-      pid = p;
-      stamp = kernel_.cpu().cycles();
-      break;
-    }
-    if (pid == 0) return false;
-  }
+  if (pid == 0) return false;
 
   Process* proc = kernel_.process(pid);
   proc->home_cpu = c;
@@ -215,7 +196,7 @@ Scheduler::RunAllResult Scheduler::RunAll(u64 cycle_budget) {
   }
 
   for (;;) {
-    // (1) Hand work to idle vCPUs: own queue, steal, adopt.
+    // (1) Hand work to idle vCPUs: own queue, else steal.
     for (u32 c = 0; c < n; ++c) {
       if (kernel_.current(c) == nullptr) Dispatch(c, deadline);
     }
@@ -300,7 +281,7 @@ Scheduler::RunAllResult Scheduler::RunAll(u64 cycle_budget) {
     Cpu& cpu = m.cpu(run_cpu);
     u64 stop_at = deadline;
     if (second_active != ~0ull) {
-      stop_at = std::min(stop_at, second_active + config_.smp_quantum_cycles);
+      stop_at = std::min(stop_at, second_active + kSmpQuantumCycles);
     }
     if (have_event) stop_at = std::min(stop_at, ev_cycle + 1);
     if (stop_at <= min_active) stop_at = min_active + 1;

@@ -7,13 +7,16 @@
 // SMP: one ready queue per vCPU with work stealing (an idle vCPU takes from
 // the back of the longest sibling queue). RunAll is the machine's
 // deterministic interleaver: it always advances the vCPU with the smallest
-// cycle counter and lets it run at most `smp_quantum_cycles` past the
+// cycle counter and lets it run at most kSmpQuantumCycles past the
 // second-smallest before rotating — the same min-cycle retire-boundary
 // discipline as SmpInterleaver (src/hw/smp.h), plus scheduling. A vCPU with
 // no current process still services its interrupt fabric (a parked vCPU 0
 // keeps draining NIC RX while workers run elsewhere), and a process woken
 // by core A never starts on core B earlier than A's wake point (its queue
-// stamp bumps the idle core's clock), so cycle accounting is causal.
+// stamp bumps the idle core's clock), so cycle accounting is causal. A
+// process enters a ready queue only through AddProcess or a wake: fork
+// queues its child on the forking vCPU, stamped with the clock at fork
+// return, and an idle sibling steals it like any other queued process.
 // On a 1-vCPU machine all of this degenerates to the PR 3 behavior.
 //
 // Constructing a Scheduler enables hardware timer interrupts on the kernel
@@ -35,14 +38,13 @@ class Scheduler {
     // A process runs at most this many cycles per slice before a timer tick
     // rotates it to the back of its vCPU's ready queue (if anyone waits).
     u64 slice_cycles = 200'000;
-    // SMP interleave granularity: a running vCPU may get at most this far
-    // ahead of the laggard vCPU before control rotates. Smaller = finer
-    // interleave (more host overhead); cross-CPU event visibility latency
-    // is bounded by it. Irrelevant on a 1-vCPU machine.
-    u64 smp_quantum_cycles = 4'000;
-    // An idle vCPU steals from the back of the longest sibling ready queue.
-    bool work_stealing = true;
   };
+
+  // SMP interleave granularity: a running vCPU may get at most this far
+  // ahead of the laggard vCPU before control rotates. Smaller = finer
+  // interleave (more host overhead); cross-CPU event visibility latency is
+  // bounded by it. Irrelevant on a 1-vCPU machine.
+  static constexpr u64 kSmpQuantumCycles = 4'000;
 
   struct Stats {
     u64 context_switches = 0;  // times a process was put on a CPU
@@ -73,7 +75,8 @@ class Scheduler {
   ~Scheduler();
 
   // Adds a runnable process, assigning it a home vCPU round-robin (or
-  // explicitly, for tests that pin placement).
+  // explicitly: tests that pin placement, and fork, which queues the child
+  // on the forking vCPU).
   void AddProcess(Pid pid);
   void AddProcess(Pid pid, u32 home_cpu);
 
@@ -86,8 +89,8 @@ class Scheduler {
   // Kernel callbacks (run on the machine's current vCPU).
   bool OnTimerTick();    // true => preempt the current process
   void OnWake(Pid pid);  // a blocked process became runnable: queue it home
-  // Applies a wake OnWake staged for the epoch barrier (threaded SMP mode);
-  // called only from Kernel::DrainRemoteOps in the quiesced serial window.
+  // Applies a wake OnWake staged in the kernel's RemoteOp queue; called
+  // only from Kernel::DrainRemoteOps, in a quiesced serial context.
   void ApplyStagedWake(u32 target_cpu, Pid pid, u64 stamp);
   void OnYield() { yield_pending_ = true; }  // sys_yield: voluntary departure
 
@@ -112,8 +115,8 @@ class Scheduler {
     CpuStats stats;
   };
 
-  // Puts a process on vCPU `c`: own queue, else steal, else adopt a stray
-  // runnable. Returns false when there is nothing to run.
+  // Puts a process on vCPU `c`: own queue, else steal from a sibling.
+  // Returns false when there is nothing to run.
   bool Dispatch(u32 c, u64 deadline);
   Pid PopRunnable(std::deque<ReadyEntry>& queue, bool from_back, u64* stamp);
   void Enqueue(u32 c, Pid pid, u64 stamp, bool front);

@@ -43,20 +43,21 @@ PacketDataplane::PacketDataplane(Kernel& kernel, KernelExtensionManager& kext, N
   }
   config_.queues = std::max(1u, std::min({config_.queues, kernel_.num_cpus(), kNicMaxQueues}));
   config_.filter_batch = std::max(1u, std::min(config_.filter_batch, kMaxFilterBatch));
-  if (config_.napi_poll_budget == 0) config_.napi_poll_budget = 1;
   rx_consume_.assign(config_.queues, 0);
   tx_produce_.assign(config_.queues, 0);
 
   // Rings: one descriptor page per direction per queue, one buffer frame per
   // descriptor (frames need not be contiguous — descriptors carry their
   // buffer's physical address, as on real hardware).
+  static_assert(kRingEntries <= kPageSize / kNicDescBytes, "a ring's descriptors fit in one page");
+  static_assert(kBufStride <= kPageSize, "a buffer is one frame");
   PhysicalMemory& pm = kernel_.machine().pm();
-  auto build_ring = [&](u32 entries, bool hw_owned) {
+  auto build_ring = [&](bool hw_owned) {
     NicRing ring;
     ring.desc_phys = kernel_.frames().Alloc();
     if (ring.desc_phys == 0) return ring;  // out of frames: empty ring, NIC drops
-    ring.count = std::min(entries, kPageSize / kNicDescBytes);
-    ring.buf_stride = std::min(config_.buf_stride, kPageSize);
+    ring.count = kRingEntries;
+    ring.buf_stride = kBufStride;
     for (u32 i = 0; i < ring.count; ++i) {
       const u32 buf = kernel_.frames().Alloc();
       if (buf == 0) {
@@ -78,8 +79,8 @@ PacketDataplane::PacketDataplane(Kernel& kernel, KernelExtensionManager& kext, N
     // Queue q interrupts core q's local PIC and is advanced by core q's IRQ
     // hub: each core owns exactly its queue's ring, IRQs and poll loop.
     nic_.WireQueue(q, &kernel_.pic(q), kIrqNic, kIrqNicTx);
-    nic_.ConfigureRx(q, build_ring(config_.rx_ring_entries, /*hw_owned=*/true));
-    nic_.ConfigureTx(q, build_ring(config_.tx_ring_entries, /*hw_owned=*/false));
+    nic_.ConfigureRx(q, build_ring(/*hw_owned=*/true));
+    nic_.ConfigureTx(q, build_ring(/*hw_owned=*/false));
     // NAPI drivers reclaim completed TX descriptors in the xmit path
     // (Transmit reuses kDescDone slots directly), so the TX-completion line
     // stays off — one less dispatch per completion batch. The oracle keeps
@@ -126,9 +127,8 @@ std::optional<PacketDataplane::CompiledFilter> PacketDataplane::LoadFilterExtens
   }
   // Shared area: the single-frame image at +0/+4 and the batch records at
   // +16 overlap in use, never in time; capacity covers the larger layout.
-  const u32 stride = 4 + ((config_.buf_stride + 3) & ~3u);
-  const u32 capacity =
-      std::max(config_.buf_stride + 16, kFilterBatchBase + kMaxFilterBatch * stride);
+  const u32 stride = 4 + ((kBufStride + 3) & ~3u);
+  const u32 capacity = std::max(kBufStride + 16, kFilterBatchBase + kMaxFilterBatch * stride);
   AssembleError aerr;
   auto obj = Assemble(CompileFilterToAsm(*expr, capacity, stride), &aerr);
   if (!obj) {
@@ -287,7 +287,7 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
   // exactly the "check occupancy before paying the gate" fast-out.)
   {
     Process* blocker = nullptr;
-    if (config_.backpressure && AllDestsSaturated(&blocker)) {
+    if (AllDestsSaturated(&blocker)) {
       for (u32 i = 0; i < n; ++i) {
         ++stats_.dropped_queue_full;
         ++stats_.filter_calls_avoided;
@@ -380,7 +380,7 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
   }
   for (u32 i = 0; i < n; ++i) {
     Process* blocker = nullptr;
-    if (config_.backpressure && AllDestsSaturated(&blocker)) {
+    if (AllDestsSaturated(&blocker)) {
       ++stats_.dropped_queue_full;
       ++stats_.filter_calls_avoided;
       if (blocker != nullptr) ++blocker->pkts_dropped;
@@ -394,21 +394,6 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
     ++stats_.matched;
     ++flow.matched;
     Deliver(flow, frames[i]);
-  }
-}
-
-void PacketDataplane::WakeOneWaiter() {
-  // Round-robin over every registered destination: wake one worker blocked
-  // in pkt_recv so somebody comes and classifies the backlog.
-  if (all_dests_.empty()) return;
-  for (u32 attempt = 0; attempt < all_dests_.size(); ++attempt) {
-    const Pid pid = all_dests_[wake_cursor_];
-    wake_cursor_ = (wake_cursor_ + 1) % static_cast<u32>(all_dests_.size());
-    Process* proc = kernel_.process(pid);
-    if (proc != nullptr && proc->state == ProcessState::kBlocked && proc->waiting_packet) {
-      kernel_.WakeProcess(*proc);
-      return;
-    }
   }
 }
 
@@ -444,7 +429,7 @@ void PacketDataplane::PollQueue(u32 q) {
   std::vector<std::vector<u8>> batch;
   for (;;) {
     batch.clear();
-    CollectRx(q, config_.napi_poll_budget, &batch);
+    CollectRx(q, kNapiPollBudget, &batch);
     if (batch.empty()) break;
     ++stats_.napi_polls;
     stats_.napi_frames += batch.size();
@@ -454,18 +439,7 @@ void PacketDataplane::PollQueue(u32 q) {
       rec->Record(cpu, kernel_.machine().cpu().cycles(), obs::EventType::kNapiPoll,
                   obs::EventClass::kArch, q, static_cast<u32>(batch.size()));
     }
-    if (config_.rps) {
-      for (std::vector<u8>& frame : batch) {
-        if (backlog_.size() >= config_.backlog_limit) {
-          ++stats_.dropped_backlog_full;
-        } else {
-          backlog_.push_back(std::move(frame));
-          WakeOneWaiter();
-        }
-      }
-    } else {
-      ClassifyFrames(batch);
-    }
+    ClassifyFrames(batch);
     // Let the wire catch up to the cycles classification consumed: frames
     // that arrived mid-poll DMA now (IRQ still masked) and are drained by
     // this same loop instead of raising fresh interrupts — the mechanism
@@ -490,18 +464,7 @@ void PacketDataplane::ServiceQueue(u32 q) {
     one.clear();
     CollectRx(q, 1, &one);
     if (one.empty()) break;
-    if (config_.rps) {
-      // RPS: the interrupt core only queues the raw frame; a worker's
-      // pkt_recv runs the protected filter on its own vCPU.
-      if (backlog_.size() >= config_.backlog_limit) {
-        ++stats_.dropped_backlog_full;
-      } else {
-        backlog_.push_back(std::move(one.front()));
-        WakeOneWaiter();
-      }
-    } else {
-      ClassifyFrames(one);
-    }
+    ClassifyFrames(one);
   }
 }
 
@@ -518,28 +481,6 @@ void PacketDataplane::OnTxComplete() {
   // Advance; the driver half only accounts the interrupt. Transmit reuses
   // kDescDone descriptors directly.
   ++stats_.tx_completion_irqs;
-}
-
-void PacketDataplane::DrainBacklog(bool drain_all) {
-  if (in_classify_) return;  // a nested pkt_recv from filter context must not recurse
-  in_classify_ = true;
-  // Classify on the calling vCPU until the caller's queue has a frame (the
-  // caller is always kernel_.current()) or the backlog runs dry. Deliveries
-  // to other workers wake them; they drain their own share on their cores.
-  // `drain_all` (shutdown) classifies everything regardless of the caller.
-  Process* me = kernel_.current();
-  std::vector<std::vector<u8>> batch;
-  while (!backlog_.empty() && (drain_all || me == nullptr || me->pkt_queue.empty())) {
-    batch.clear();
-    const u32 k = std::min<u32>(config_.filter_batch, static_cast<u32>(backlog_.size()));
-    for (u32 i = 0; i < k; ++i) {
-      batch.push_back(std::move(backlog_.front()));
-      backlog_.pop_front();
-    }
-    stats_.rps_deferred += k;
-    ClassifyFrames(batch);
-  }
-  in_classify_ = false;
 }
 
 bool PacketDataplane::Transmit(const std::vector<u8>& frame) {
@@ -579,9 +520,6 @@ bool PacketDataplane::Transmit(const std::vector<u8>& frame) {
 void PacketDataplane::SysPktRecv(u32 buf, u32 cap, u32 flags) {
   Process& proc = *kernel_.current();
   kernel_.Charge(kernel_.costs().pkt_syscall_base);
-  // RPS: raw frames queued by the interrupt core get classified here, on
-  // the consuming worker's vCPU — the filter cost lands on this core.
-  if (config_.rps && proc.pkt_queue.empty() && !backlog_.empty()) DrainBacklog();
   if (proc.pkt_queue.empty()) {
     if (shutdown_) {
       kernel_.ReturnFromGate(kErrShutdown);
@@ -636,7 +574,6 @@ void PacketDataplane::SysPktSend(u32 buf, u32 len) {
 void PacketDataplane::SysPktRecvM(u32 buf, u32 cap, u32 flags) {
   Process& proc = *kernel_.current();
   kernel_.Charge(kernel_.costs().pkt_syscall_base);
-  if (config_.rps && proc.pkt_queue.empty() && !backlog_.empty()) DrainBacklog();
   if (proc.pkt_queue.empty()) {
     if (shutdown_) {
       kernel_.ReturnFromGate(kErrShutdown);
@@ -719,10 +656,6 @@ void PacketDataplane::SysPktSendM(u32 buf, u32 total) {
 
 void PacketDataplane::Shutdown() {
   shutdown_ = true;
-  // RPS: flush the raw backlog (classified on the vCPU declaring shutdown)
-  // so every frame that reached the host is accounted for before sleepers
-  // are released.
-  DrainBacklog(/*drain_all=*/true);
   for (Pid pid : all_dests_) {
     Process* proc = kernel_.process(pid);
     if (proc != nullptr && proc->state == ProcessState::kBlocked && proc->waiting_packet) {

@@ -21,7 +21,6 @@
 #ifndef SRC_NET_DATAPLANE_H_
 #define SRC_NET_DATAPLANE_H_
 
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -117,43 +116,34 @@ enum class FlowSteering : u8 {
 class PacketDataplane {
  public:
   struct Config {
-    u32 rx_ring_entries = 32;  // per queue
-    u32 tx_ring_entries = 32;  // per queue
-    u32 buf_stride = 2048;  // one frame per buffer; must be <= kPageSize
     FlowSteering steering = FlowSteering::kRoundRobin;
-    // Receive packet steering (the Linux RPS idea, adapted): when set, the
-    // NIC IRQ core only drains descriptors into a raw backlog and wakes a
-    // sleeping worker; the protected-filter classification runs later,
-    // inside the consuming worker's pkt_recv — i.e. on the worker's own
-    // vCPU, charged to its cycle counter. Superseded by multi-queue RSS
-    // (queues > 1) for spreading load, but kept as an alternative policy.
-    bool rps = false;
-    u32 backlog_limit = 512;  // raw frames queued ahead of classification
     // RX/TX queue pairs with hardware RSS; clamped to the machine's vCPU
     // count. Queue q is wired to vCPU q's local PIC and advanced by vCPU
     // q's IRQ hub, so each core services exactly its own queue.
     u32 queues = 1;
     // NAPI-style interrupt mitigation: the RX IRQ handler masks the queue's
-    // line and polls the ring in napi_poll_budget-frame batches until it
+    // line and polls the ring in kNapiPollBudget-frame batches until it
     // runs dry, then re-enables the IRQ. Off: one IRQ (and one drain) per
     // DMA'd frame, the PR 3 behavior.
     bool napi = true;
-    u32 napi_poll_budget = 32;
     // NIC ITR window (cycles): at most one RX interrupt per window per
     // queue; frames landing while the timer is armed share the interrupt
     // and are drained by the same NAPI poll. 0 = interrupt per DMA. Must
-    // stay well under rx_ring_entries * inter-arrival or the ring overflows
+    // stay well under kRingEntries * inter-arrival or the ring overflows
     // while the timer holds the line.
     u32 rx_irq_moderation = 0;
     // Frames classified per protected filter crossing (the batch entry
     // point compiled alongside every filter). 1 = one crossing per frame,
     // the oracle behavior. Clamped to kMaxFilterBatch.
     u32 filter_batch = 32;
-    // Check destination queue occupancy BEFORE paying the protected filter
-    // crossing: when every live destination is saturated the frame is
-    // dropped pre-filter and the crossing is counted as avoided.
-    bool backpressure = true;
   };
+
+  // Descriptors per RX and per TX ring, per queue.
+  static constexpr u32 kRingEntries = 32;
+  // One frame per buffer, so a buffer holds a full-size frame.
+  static constexpr u32 kBufStride = 2048;
+  // Frames one NAPI poll collects before classifying them.
+  static constexpr u32 kNapiPollBudget = 32;
 
   struct Stats {
     u64 rx_frames = 0;           // consumed off the RX rings
@@ -167,8 +157,6 @@ class PacketDataplane {
     u64 dropped_no_match = 0;
     u64 dropped_queue_full = 0;
     u64 dropped_dead_dest = 0;   // destination exited/was killed
-    u64 dropped_backlog_full = 0;  // RPS backlog overflow (cheap drop)
-    u64 rps_deferred = 0;        // frames classified in worker context
     u64 tx_frames = 0;           // frames enqueued to a TX ring
     u64 nic_irqs = 0;            // RX ServiceRx activations
     u64 tx_completion_irqs = 0;  // TX-completion handler activations
@@ -286,13 +274,15 @@ class PacketDataplane {
   // Classifies `frames` (in arrival order) through the flows and delivers:
   // match bits are computed flow-major with batched crossings where
   // available; delivery and drop accounting then run in strict frame order,
-  // the same state machine as the per-frame oracle.
+  // the same state machine as the per-frame oracle. Destination occupancy
+  // is checked before the protected crossing: when every live destination
+  // is saturated a frame drops pre-filter and the crossing counts as
+  // avoided (backpressure).
   void ClassifyFrames(std::vector<std::vector<u8>>& frames);
   // True when every live destination of every live flow has a full queue
   // (then *blocker = the first full destination, for drop attribution).
   bool AllDestsSaturated(Process** blocker);
   bool Deliver(FlowInfo& flow, const std::vector<u8>& frame);
-  void WakeOneWaiter();
   // Pops up to `budget` DMA-completed frames off queue q's RX ring,
   // returning the descriptors to the hardware.
   void CollectRx(u32 q, u32 budget, std::vector<std::vector<u8>>* out);
@@ -302,9 +292,6 @@ class PacketDataplane {
   void PollQueue(u32 q);
   void ServiceQueue(u32 q);
   u32 QueueForCurrentCpu() const;
-  // Classifies queued raw frames on the current vCPU; stops once the
-  // calling process has a frame unless `drain_all` (shutdown flush).
-  void DrainBacklog(bool drain_all = false);
 
   Kernel& kernel_;
   KernelExtensionManager& kext_;
@@ -318,10 +305,7 @@ class PacketDataplane {
   std::vector<u32> tx_produce_;  // per queue: next TX descriptor to fill
   bool in_service_ = false;
   bool shutdown_ = false;
-  std::deque<std::vector<u8>> backlog_;  // RPS: raw frames awaiting classification
-  u32 wake_cursor_ = 0;                  // round-robin over all_dests_ for RPS wakes
-  bool in_classify_ = false;             // guards re-entrant backlog draining
-  u32 upgrade_seq_ = 0;                  // versions UpgradeFlow kext names
+  u32 upgrade_seq_ = 0;  // versions UpgradeFlow kext names
 };
 
 }  // namespace palladium

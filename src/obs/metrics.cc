@@ -92,8 +92,6 @@ void MetricsRegistry::CollectDataplane(const PacketDataplane& dp) {
   Counter("dataplane.dropped_no_match", s.dropped_no_match);
   Counter("dataplane.dropped_queue_full", s.dropped_queue_full);
   Counter("dataplane.dropped_dead_dest", s.dropped_dead_dest);
-  Counter("dataplane.dropped_backlog_full", s.dropped_backlog_full);
-  Counter("dataplane.rps_deferred", s.rps_deferred);
   Counter("dataplane.tx_frames", s.tx_frames);
   Counter("dataplane.nic_irqs", s.nic_irqs);
   Counter("dataplane.tx_completion_irqs", s.tx_completion_irqs);

@@ -450,66 +450,19 @@ TEST(Dataplane, MultiQueueRssSpreadsIrqsAcrossCores) {
   EXPECT_EQ(static_cast<u64>(sum), stats.delivered);
 }
 
-// RPS backlog overflow: a burst beyond backlog_limit is dropped *before*
-// classification — cheap drops, no protected crossings paid for them.
-TEST(Dataplane, RpsBacklogOverflowDropsBeforeClassification) {
-  KernelFixture f(1);
-  Scheduler sched(f.kernel());
-  KernelExtensionManager kext(f.kernel());
-  Nic nic(f.machine().pm(), f.kernel().pic(), kIrqNic);
-  PacketDataplane::Config dcfg;
-  dcfg.rps = true;
-  dcfg.backlog_limit = 4;
-  PacketDataplane dp(f.kernel(), kext, nic, dcfg);
-  bool shutdown_issued = false;
-  sched.set_idle_hook([&]() {
-    if (shutdown_issued) return false;
-    shutdown_issued = true;
-    dp.Shutdown();
-    return true;
-  });
-  std::string diag;
-  Pid w = f.LoadProgram(kPktEchoWorkerSource, &diag);
-  ASSERT_NE(w, 0u) << diag;
-  sched.AddProcess(w);
-  ASSERT_TRUE(dp.AddFlow("all", "ether.type == 0x0800", {w}, &diag)) << diag;
-
-  PacketSpec spec;
-  auto frame = BuildPacket(spec);
-  const u32 kTotal = 12;
-  for (u32 i = 0; i < kTotal; ++i) {
-    nic.Inject(frame.data(), static_cast<u32>(frame.size()), 1'000);
-  }
-  auto result = sched.RunAll(1'000'000'000ull);
-  EXPECT_EQ(result.exited, 1u);
-
-  const auto& stats = dp.stats();
-  EXPECT_EQ(stats.rx_frames, kTotal);
-  EXPECT_EQ(stats.dropped_backlog_full, kTotal - dcfg.backlog_limit);
-  // Only the backlogged frames ever reached a filter, and they were
-  // classified in worker context (RPS) with batched crossings.
-  EXPECT_EQ(stats.rps_deferred, static_cast<u64>(dcfg.backlog_limit));
-  EXPECT_EQ(stats.filter_frames, static_cast<u64>(dcfg.backlog_limit));
-  EXPECT_EQ(stats.delivered, static_cast<u64>(dcfg.backlog_limit));
-  EXPECT_EQ(static_cast<u64>(f.kernel().process(w)->exit_code), stats.delivered);
-}
-
-// The in_classify_ re-entrancy guard: a filter extension invokes a kernel
-// service (INT 0x81) whose host side calls Shutdown() — which flushes the
-// RPS backlog via DrainBacklog — *while DrainBacklog is already mid-batch on
-// the stack*. The guard must make the nested drain a no-op (a re-entrant
-// ClassifyFrames would nest a protected Invoke inside the running one);
-// every frame still gets classified exactly once by the outer loop.
+// A filter extension invokes a kernel service (INT 0x81) whose host side
+// calls Shutdown() *while ClassifyFrames is mid-batch on the stack*, waking
+// the worker blocked in pkt_recv. Shutdown must not classify anything
+// itself (a re-entrant ClassifyFrames would nest a protected Invoke inside
+// the running one), nothing may deadlock, and every frame is still
+// classified and delivered exactly once: the worker drains its queue before
+// it sees kErrShutdown.
 TEST(Dataplane, ShutdownFromFilterContextCannotReenterClassification) {
   KernelFixture f(1);
   Scheduler sched(f.kernel());
   KernelExtensionManager kext(f.kernel());
   Nic nic(f.machine().pm(), f.kernel().pic(), kIrqNic);
-  PacketDataplane::Config dcfg;
-  dcfg.rps = true;
-  dcfg.backlog_limit = 64;
-  dcfg.filter_batch = 2;  // keep frames in the backlog while classifying
-  PacketDataplane dp(f.kernel(), kext, nic, dcfg);
+  PacketDataplane dp(f.kernel(), kext, nic);
   std::string diag;
   Pid w = f.LoadProgram(kPktEchoWorkerSource, &diag);
   ASSERT_NE(w, 0u) << diag;
@@ -518,7 +471,7 @@ TEST(Dataplane, ShutdownFromFilterContextCannotReenterClassification) {
   u32 service_calls = 0;
   kext.RegisterService(500, [&](Kernel&, u32, u32, u32) -> u32 {
     ++service_calls;
-    dp.Shutdown();  // nested DrainBacklog attempt from filter context
+    dp.Shutdown();  // from filter context, mid-classification
     return 0;
   });
   AssembleError aerr;
@@ -556,8 +509,7 @@ pd_shared:
   EXPECT_TRUE(dp.shutdown());
   const auto& stats = dp.stats();
   EXPECT_EQ(stats.filter_aborts, 0u) << "the service call is legal, not a violation";
-  EXPECT_EQ(stats.rps_deferred, kTotal) << "each frame classified exactly once";
-  EXPECT_EQ(stats.filter_frames, kTotal);
+  EXPECT_EQ(stats.filter_frames, kTotal) << "each frame classified exactly once";
   EXPECT_EQ(stats.delivered, kTotal);
   EXPECT_EQ(static_cast<u64>(f.kernel().process(w)->exit_code), kTotal);
 }

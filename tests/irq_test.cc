@@ -444,7 +444,7 @@ pd_shared:
   // Detection is asynchronous: within a few timer periods past the limit,
   // far before the 16x cooperative backstop.
   EXPECT_GE(r.cycles, 300'000u);
-  EXPECT_LT(r.cycles, 300'000u + 4 * kernel.config().timer_slice_cycles);
+  EXPECT_LT(r.cycles, 300'000u + 4 * Kernel::kTimerSliceCycles);
   EXPECT_GT(kernel.cpu().cycles(), before);
 
   // The machine is clean afterwards: a fresh process runs to completion and

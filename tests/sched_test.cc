@@ -1,7 +1,12 @@
 // Preemptive-scheduler tests: round-robin interleaving under the hardware
-// timer, voluntary yield, budget exhaustion with clean resume, and the
-// legacy RunProcess path staying intact alongside the scheduler.
+// timer, voluntary yield, budget exhaustion with clean resume, the legacy
+// RunProcess path staying intact alongside the scheduler, and fork under
+// the scheduler (causality on SMP, no half-built child on failure).
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include "src/kernel/sched.h"
 #include "tests/kernel_test_util.h"
@@ -188,6 +193,136 @@ spin:
   EXPECT_EQ(r.outcome, RunOutcome::kCycleLimit);
   EXPECT_EQ(f.kernel().pic().delivered(kIrqTimer), 0u);
   EXPECT_EQ(f.kernel().process(pid)->state, ProcessState::kRunnable);
+}
+
+// Fork causality on SMP: the child is queued on the forking vCPU, stamped
+// with the clock at fork return, so even an idle sibling that steals it
+// cannot start it before the fork that created it. The parent spins, forks,
+// and both sides then make the same logging syscall; a sibling process on
+// vCPU 1 exits early (the idle core's clock lags the fork) or late (it is
+// still busy when the fork returns).
+TEST(Sched, ForkChildNeverStartsBeforeItsFork) {
+  for (const u32 sibling_spin : {100u, 1'000u, 2'000u, 4'000u}) {
+    SCOPED_TRACE("sibling spin " + std::to_string(sibling_spin));
+    KernelFixture f(/*num_cpus=*/2);
+    Scheduler sched(f.kernel());
+    std::map<Pid, u64> first_log;  // pid -> cycle of its first logging syscall
+    f.kernel().RegisterSyscall(232, [&](Kernel& k, u32, u32, u32) {
+      first_log.emplace(k.current()->pid, k.cpu().cycles());
+      k.ReturnFromGate(0);
+    });
+
+    std::string diag;
+    Pid parent = f.LoadProgram(R"(
+  .global main
+main:
+  mov $300, %ecx
+spin:
+  dec %ecx
+  cmp $0, %ecx
+  jne spin
+  mov $SYS_FORK, %eax
+  int $0x80
+  mov $232, %eax
+  int $0x80
+  mov $SYS_EXIT, %eax
+  mov $0, %ebx
+  int $0x80
+)",
+                               &diag);
+    ASSERT_NE(parent, 0u) << diag;
+    Pid sibling = f.LoadProgram(R"(
+  .global main
+main:
+  mov $)" + std::to_string(sibling_spin) + R"(, %ecx
+spin:
+  dec %ecx
+  cmp $0, %ecx
+  jne spin
+  mov $SYS_EXIT, %eax
+  mov $0, %ebx
+  int $0x80
+)",
+                                &diag);
+    ASSERT_NE(sibling, 0u) << diag;
+    sched.AddProcess(parent, /*home_cpu=*/0);
+    sched.AddProcess(sibling, /*home_cpu=*/1);
+
+    auto result = sched.RunAll(1'000'000'000ull);
+    EXPECT_EQ(result.exited, 3u);
+    EXPECT_FALSE(result.budget_exhausted);
+    const Pid child = sibling + 1;  // pids are handed out in creation order
+    ASSERT_EQ(first_log.count(parent), 1u);
+    ASSERT_EQ(first_log.count(child), 1u) << "the fork child never ran";
+    EXPECT_GE(first_log[child], first_log[parent])
+        << "the child ran before the fork that created it returned";
+  }
+}
+
+// A fork that runs out of frames mid-copy fails with kErrNoMem and leaves no
+// half-built child: its frames return to the allocator, no other process
+// is ever dispatched, and RunAll completes instead of reporting a runnable
+// process it cannot place. A 2 MB machine has 254 free frames after boot;
+// the parent touches more pages than half of that, so the copy cannot fit.
+TEST(Sched, ForkOutOfFramesLeavesNoHalfBuiltChild) {
+  constexpr u32 kTouchedPages = 160;
+  Machine machine(MachineConfig{2u << 20, CycleModel::Measured(), /*num_cpus=*/2});
+  Kernel kernel(machine);
+  Scheduler sched(kernel);
+  std::vector<Pid> log_pids;
+  std::vector<u32> free_frames;
+  kernel.RegisterSyscall(232, [&](Kernel& k, u32, u32, u32) {
+    log_pids.push_back(k.current()->pid);
+    free_frames.push_back(k.frames().free_frames());
+    k.ReturnFromGate(0);
+  });
+
+  std::string diag;
+  auto img = AssembleAndLink(AbiPrelude() + R"(
+  .global main
+main:
+  mov $SYS_MMAP, %eax
+  mov $0, %ebx
+  mov $)" + std::to_string(kTouchedPages * kPageSize) + R"(, %ecx
+  mov $3, %edx
+  int $0x80
+  mov %eax, %esi
+  mov $)" + std::to_string(kTouchedPages) + R"(, %ecx
+touch:
+  st %ecx, 0(%esi)
+  add $4096, %esi
+  dec %ecx
+  cmp $0, %ecx
+  jne touch
+  mov $232, %eax
+  int $0x80
+  mov $SYS_FORK, %eax
+  int $0x80
+  mov %eax, %esi
+  mov $232, %eax
+  int $0x80
+  mov $SYS_EXIT, %eax
+  mov %esi, %ebx
+  int $0x80
+)",
+                             kUserTextBase, {}, &diag);
+  ASSERT_TRUE(img.has_value()) << diag;
+  const Pid parent = kernel.CreateProcess();
+  ASSERT_NE(parent, 0u);
+  ASSERT_TRUE(kernel.LoadUserImage(parent, *img, "main", &diag)) << diag;
+  sched.AddProcess(parent, /*home_cpu=*/0);
+
+  auto result = sched.RunAll(1'000'000'000ull);
+  EXPECT_EQ(static_cast<u32>(kernel.process(parent)->exit_code), kErrNoMem);
+  EXPECT_EQ(result.exited, 1u);
+  EXPECT_EQ(result.killed, 0u);
+  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_FALSE(result.deadlocked);
+  EXPECT_EQ(sched.stats().context_switches, 1u) << "only the parent ever ran";
+  EXPECT_EQ(log_pids, (std::vector<Pid>{parent, parent}));
+  ASSERT_EQ(free_frames.size(), 2u);
+  EXPECT_EQ(free_frames[1], free_frames[0]) << "the failed fork leaked frames";
+  EXPECT_EQ(kernel.process(parent + 1), nullptr) << "the half-built child is still listed";
 }
 
 }  // namespace

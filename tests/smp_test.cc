@@ -8,7 +8,6 @@
 // flowing.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -381,119 +380,6 @@ TEST(Smp, FlowHashIsStableAndSpreadsClients) {
   EXPECT_GE(used, 3u) << "16 clients must spread across (nearly) all of 4 workers";
 }
 
-// --- RPS: deferred classification in worker context -------------------------------
-
-// With Config::rps the NIC IRQ only queues raw frames; the protected filter
-// runs inside the consuming workers' pkt_recv — on *their* vCPUs. Every
-// frame must still be classified exactly once, delivered, echoed, and the
-// shutdown flush must account for whatever is still sitting in the backlog.
-TEST(Smp, RpsClassifiesInWorkerContextAndLosesNothing) {
-  KernelFixture f(/*num_cpus=*/2);
-  Kernel& k = f.kernel();
-  Scheduler sched(k);
-  KernelExtensionManager kext(k);
-
-  std::string diag;
-  auto img = AssembleAndLink(kPktEchoWorkerSource, kUserTextBase, {}, &diag);
-  ASSERT_TRUE(img.has_value()) << diag;
-  std::vector<Pid> workers;
-  for (u32 w = 0; w < 2; ++w) {
-    Pid pid = k.CreateProcess();
-    ASSERT_NE(pid, 0u);
-    ASSERT_TRUE(k.LoadUserImage(pid, *img, "main", &diag)) << diag;
-    workers.push_back(pid);
-    sched.AddProcess(pid, /*home_cpu=*/w);
-  }
-
-  Nic nic(f.machine().pm(), k.pic(), kIrqNic);
-  PacketDataplane::Config dcfg;
-  dcfg.rps = true;
-  PacketDataplane dataplane(k, kext, nic, dcfg);
-  ASSERT_TRUE(dataplane.AddFlow("tcp", "ip.proto == 6", workers, &diag)) << diag;
-
-  PacketSpec spec;
-  spec.proto = kIpProtoTcp;
-  spec.payload_len = 32;
-  auto frame = BuildPacket(spec);
-  constexpr u32 kTotal = 40;
-  u64 at = 4'000;
-  for (u32 i = 0; i < kTotal; ++i) {
-    nic.Inject(frame.data(), static_cast<u32>(frame.size()), at);
-    at += 3'000;
-  }
-  bool shutdown_issued = false;
-  sched.set_idle_hook([&] {
-    if (shutdown_issued) return false;
-    shutdown_issued = true;
-    dataplane.Shutdown();
-    return true;
-  });
-
-  auto result = sched.RunAll(2'000'000'000ull);
-  EXPECT_EQ(result.exited, 2u);
-  EXPECT_EQ(dataplane.stats().rx_frames, kTotal);
-  EXPECT_EQ(dataplane.stats().filter_invocations, kTotal) << "every frame classified once";
-  EXPECT_GT(dataplane.stats().rps_deferred, 0u) << "classification must have been deferred";
-  EXPECT_EQ(dataplane.stats().rps_deferred, kTotal)
-      << "in RPS mode no frame is classified in IRQ context";
-  EXPECT_EQ(dataplane.stats().tx_frames, kTotal) << "every frame echoed";
-  EXPECT_EQ(dataplane.stats().dropped_backlog_full, 0u);
-  u64 served = 0;
-  for (Pid pid : workers) served += static_cast<u64>(k.process(pid)->exit_code);
-  EXPECT_EQ(served, static_cast<u64>(kTotal));
-}
-
-TEST(Smp, RpsBacklogOverflowDropsCheaplyWithoutStalling) {
-  // A backlog cap of 4 against a burst of frames: the overflow is dropped
-  // *before* any filter runs (cheap), everything that fit is still served,
-  // and the machine drains cleanly.
-  KernelFixture f(/*num_cpus=*/1);
-  Kernel& k = f.kernel();
-  Scheduler sched(k);
-  KernelExtensionManager kext(k);
-
-  std::string diag;
-  auto img = AssembleAndLink(kPktEchoWorkerSource, kUserTextBase, {}, &diag);
-  ASSERT_TRUE(img.has_value()) << diag;
-  Pid worker = k.CreateProcess();
-  ASSERT_NE(worker, 0u);
-  ASSERT_TRUE(k.LoadUserImage(worker, *img, "main", &diag)) << diag;
-  sched.AddProcess(worker);
-
-  Nic nic(f.machine().pm(), k.pic(), kIrqNic);
-  PacketDataplane::Config dcfg;
-  dcfg.rps = true;
-  dcfg.backlog_limit = 4;
-  PacketDataplane dataplane(k, kext, nic, dcfg);
-  ASSERT_TRUE(dataplane.AddFlow("tcp", "ip.proto == 6", {worker}, &diag)) << diag;
-
-  PacketSpec spec;
-  spec.proto = kIpProtoTcp;
-  spec.payload_len = 16;
-  auto frame = BuildPacket(spec);
-  constexpr u32 kTotal = 16;
-  for (u32 i = 0; i < kTotal; ++i) {
-    // One burst: all frames hit the ring (and then the backlog) before the
-    // worker gets to run.
-    nic.Inject(frame.data(), static_cast<u32>(frame.size()), 4'000 + i);
-  }
-  bool shutdown_issued = false;
-  sched.set_idle_hook([&] {
-    if (shutdown_issued) return false;
-    shutdown_issued = true;
-    dataplane.Shutdown();
-    return true;
-  });
-
-  auto result = sched.RunAll(2'000'000'000ull);
-  EXPECT_EQ(result.exited, 1u);
-  const auto& stats = dataplane.stats();
-  EXPECT_GT(stats.dropped_backlog_full, 0u) << "the burst must have overflowed the cap";
-  EXPECT_EQ(stats.filter_frames + stats.dropped_backlog_full, kTotal)
-      << "dropped frames never reached a filter; the rest were classified once";
-  EXPECT_EQ(stats.tx_frames, stats.filter_frames) << "everything classified was served";
-}
-
 // --- Hostile kext on CPU 1, traffic on CPU 0 -------------------------------------
 
 TEST(Smp, HostileKextOnCpu1DiesWhileCpu0TrafficContinues) {
@@ -590,7 +476,7 @@ main:
   EXPECT_EQ(static_cast<u64>(k.process(worker)->exit_code), static_cast<u64>(kTotal));
 }
 
-// --- Threaded SMP: staged cross-CPU delivery -----------------------------------
+// --- Threaded SMP and kernel-staged cross-CPU work -------------------------------
 
 // The barrier grid is computed by dividing by the epoch, so a zero epoch is
 // refused at construction; the default is kDefaultEpochCycles.
@@ -600,88 +486,6 @@ TEST(ThreadedSmp, EpochDefaultsAndRejectsZero) {
   BareMachine bm(cfg);
   EXPECT_EQ(ThreadedSmp(bm.machine()).epoch_cycles(), ThreadedSmp::kDefaultEpochCycles);
   EXPECT_THROW(ThreadedSmp(bm.machine(), 0), std::invalid_argument);
-}
-
-// Mid-epoch staged TLB shootdown: work staged from one vCPU's thread while
-// the epoch is in flight must be applied to the sibling no later than the
-// next epoch barrier — the delivery contract ThreadedSmp promises.
-TEST(ThreadedSmp, MidEpochStagedShootdownLandsByNextBarrier) {
-  constexpr u32 kTarget = 0x301000;
-  BareMachineConfig cfg;
-  cfg.num_cpus = 2;
-  BareMachine bm(cfg);
-  Machine& m = bm.machine();
-
-  std::string diag;
-  // CPU 1: endless store loop on kTarget, priming its TLB entry every epoch.
-  auto img1 = bm.LoadProgram(R"(
-  .global main
-main:
-  mov $0x301000, %ebx
-  mov $0, %eax
-loop:
-  add $1, %eax
-  st %eax, 0(%ebx)
-  jmp loop
-)",
-                             0x40000, &diag);
-  ASSERT_TRUE(img1.has_value()) << diag;
-  bm.StartCpu(1, *img1->Lookup("main"), /*cpl=*/3, 0x80000);
-
-  // CPU 0: a short spin that halts mid-first-epoch — its stop handler runs
-  // on CPU 0's own host thread while CPU 1 is still executing its epoch.
-  auto img0 = bm.LoadProgram(R"(
-  .global main
-main:
-  mov $40, %ecx
-spin:
-  dec %ecx
-  cmp $0, %ecx
-  jne spin
-  hlt
-)",
-                             0x10000, &diag);
-  ASSERT_TRUE(img0.has_value()) << diag;
-  bm.StartCpu(0, *img0->Lookup("main"), /*cpl=*/0, 0x7C000);
-
-  ThreadedSmp ts(m, /*epoch_cycles=*/4096);
-  std::atomic<bool> staged{false};
-  std::atomic<bool> delivered{false};
-  std::atomic<bool> checked{false};
-  std::atomic<u64> count_at_stage{0};
-  ts.set_barrier_hook([&](u64) {
-    if (!staged.load() || checked.load()) return;
-    // First barrier after the mid-epoch stage. The drain precedes the hook
-    // in the serial window, so the flush must already have been applied:
-    // "delivered no later than the next barrier".
-    EXPECT_TRUE(delivered.load()) << "staged work not drained by the next barrier";
-    EXPECT_GT(m.cpu(1).tlb().change_count(), count_at_stage.load())
-        << "victim's invalidation counter must have advanced";
-    u32 frame = 0, flags = 0;
-    EXPECT_FALSE(m.cpu(1).tlb().Lookup(kTarget, &frame, &flags))
-        << "victim still holds the shot-down translation";
-    checked.store(true);
-  });
-  ts.Run(120'000, [&](u32 c, const StopInfo& stop) {
-    if (c == 0 && stop.reason == StopReason::kHalted && !staged.load()) {
-      // Mid-epoch, on CPU 0's thread: sibling TLB entries must NOT be
-      // touched from here — stage the invalidation instead. Polling the
-      // sibling's atomic change counter is the one sanctioned cross-thread
-      // read (src/hw/tlb.h).
-      count_at_stage.store(m.cpu(1).tlb().change_count());
-      ts.StageRemoteWork(1, [&](Cpu& target) {
-        u32 frame = 0, flags = 0;
-        EXPECT_TRUE(target.tlb().Lookup(kTarget, &frame, &flags))
-            << "victim TLB was never primed — the scenario is vacuous";
-        target.tlb().FlushPage(kTarget);
-        delivered.store(true);
-      });
-      staged.store(true);
-    }
-    return false;  // park on any stop (CPU 1 just runs out the cycle limit)
-  });
-  EXPECT_TRUE(staged.load()) << "CPU 0 never reached its halt";
-  EXPECT_TRUE(checked.load()) << "no barrier followed the staged work";
 }
 
 // Kernel-level staging (Kernel::set_stage_remote_ops): with staging on, the
@@ -722,23 +526,25 @@ TEST(ThreadedSmp, KernelStagesRemoteShootdownAndIpiUntilDrain) {
 TEST(ThreadedSmp, StagedCrossCpuWakeEnqueuesOnDrain) {
   KernelFixture f(/*num_cpus=*/2);
   Kernel& k = f.kernel();
-  Scheduler::Config scfg;
-  scfg.work_stealing = false;  // keep the wakee on its home queue so the
-                               // "ran on CPU 1" assertion below is meaningful
-  Scheduler sched(k, scfg);
-  std::string diag;
-  Pid pid = f.LoadProgram(R"(
+  Scheduler sched(k);
+  const std::string exit_source = R"(
   .global main
 main:
   mov $SYS_EXIT, %eax
   mov $7, %ebx
   int $0x80
-)",
-                          &diag);
+)";
+  std::string diag;
+  Pid pid = f.LoadProgram(exit_source, &diag);
   ASSERT_NE(pid, 0u) << diag;
   Process* proc = k.process(pid);
   ASSERT_NE(proc, nullptr);
   proc->home_cpu = 1;
+  // CPU 0 gets a process of its own, so it has no reason to steal the wakee
+  // and the "ran on its home CPU" assertion below is meaningful.
+  Pid own = f.LoadProgram(exit_source, &diag);
+  ASSERT_NE(own, 0u) << diag;
+  sched.AddProcess(own, /*home_cpu=*/0);
 
   k.set_stage_remote_ops(true);
   f.machine().set_current_cpu(0);
@@ -751,7 +557,7 @@ main:
   EXPECT_EQ(k.DrainRemoteOps(1), 1u);
   k.set_stage_remote_ops(false);
   auto result = sched.RunAll(50'000'000);
-  EXPECT_EQ(result.exited, 1u) << "the drained wake must have made the process runnable";
+  EXPECT_EQ(result.exited, 2u) << "the drained wake must have made the process runnable";
   EXPECT_EQ(k.process(pid)->exit_code, 7);
   EXPECT_GE(sched.cpu_stats(1).context_switches, 1u) << "it must have run on its home CPU";
 }
