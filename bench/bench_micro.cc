@@ -189,7 +189,10 @@ escape:
 )",
                       &aerr);
   std::string diag;
-  auto ext = kext.LoadExtension("bad", *obj, &diag);
+  if (!kext.LoadExtension("bad", *obj, &diag)) {
+    std::fprintf(stderr, "insmod: %s\n", diag.c_str());
+    return;
+  }
   auto fid = kext.FindFunction("escape");
   auto r = kext.Invoke(*fid, 0);
   Json().Set("kext_abort_cycles", r.cycles);

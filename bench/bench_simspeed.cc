@@ -18,20 +18,15 @@
 // {trace,block,insn,oracle}` restricts the run to a single engine.
 // Architectural results are identical across engines — only the wall-clock
 // rate moves.
-// The SMP rows (`BM_Smp{Alu,Mem}_nN_{interleaved,threaded}`) measure the
-// same per-vCPU workloads on an N-vCPU machine under the deterministic
-// min-cycle interleaver vs the host-parallel threaded mode (one host thread
-// per vCPU, epoch barriers — src/hw/smp.h), as paired in-binary rows:
-// `sim_mips` is the *aggregate* simulated instruction rate over all vCPUs,
-// so threaded/interleaved on the same JSON is the host-parallel speedup.
-// `host_cpus` records how many host cores the runner had (the threaded rows
-// are meaningless to compare across machines without it).
+// The SMP rows (`BM_Smp{Alu,Mem}_nN_interleaved`) run the same per-vCPU
+// workloads on an N-vCPU machine under the deterministic min-cycle
+// interleaver (src/hw/smp.h): `sim_mips` is the *aggregate* simulated
+// instruction rate over all vCPUs.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -127,9 +122,8 @@ void RunThroughput(benchmark::State& state, const char* workload, Engine engine)
 }
 
 // Per-vCPU variants of the workloads above: identical instruction mix, but
-// every vCPU gets a private data window (so the workload is data-race-free,
-// the regime threaded mode guarantees equivalence for) and its own code and
-// stack placement.
+// every vCPU gets a private data window and its own code and stack
+// placement.
 std::string SmpAluWorkload(u32 c, u32 iterations) {
   char buf[512];
   std::snprintf(buf, sizeof buf, R"(
@@ -185,10 +179,8 @@ loop:
   return buf;
 }
 
-// Aggregate N-vCPU throughput under either SMP harness. Long loops amortize
-// the per-iteration thread spawn/join of the threaded harness over a few
-// hundred epochs of real execution.
-void RunSmpThroughput(benchmark::State& state, bool mem_workload, u32 n, bool threaded) {
+// Aggregate N-vCPU throughput under the interleaver.
+void RunSmpThroughput(benchmark::State& state, bool mem_workload, u32 n) {
   constexpr u32 kIterations = 50'000;
   BareMachineConfig cfg;
   cfg.num_cpus = n;
@@ -217,13 +209,8 @@ void RunSmpThroughput(benchmark::State& state, bool mem_workload, u32 n, bool th
       m.cpu(c).set_cycles(0);  // the harness limit is on cumulative cycles
       before += m.cpu(c).instructions_retired();
     }
-    if (threaded) {
-      ThreadedSmp ts(m);
-      ts.Run(~0ull, park_on_stop);
-    } else {
-      SmpInterleaver il(m);
-      il.Run(~0ull, park_on_stop);
-    }
+    SmpInterleaver il(m);
+    il.Run(~0ull, park_on_stop);
     u64 after = 0;
     for (u32 c = 0; c < n; ++c) after += m.cpu(c).instructions_retired();
     insns += after - before;
@@ -232,8 +219,6 @@ void RunSmpThroughput(benchmark::State& state, bool mem_workload, u32 n, bool th
       benchmark::Counter(static_cast<double>(insns), benchmark::Counter::kIsRate);
   state.counters["sim_mips"] = benchmark::Counter(
       static_cast<double>(insns) / 1e6, benchmark::Counter::kIsRate);
-  state.counters["host_cpus"] =
-      benchmark::Counter(static_cast<double>(std::thread::hardware_concurrency()));
 }
 
 void BM_AssembleFilter(benchmark::State& state) {
@@ -297,30 +282,19 @@ void RegisterSimBenches(const std::string& engine_filter) {
           RunThroughput(st, kMemWorkload, engine);
         });
   }
-  // SMP rows only in unfiltered runs (the CI invocation), so every JSON that
-  // carries a `_threaded` row also carries its `_interleaved` pair — the
-  // regression gate normalizes with the in-binary ratio.
+  // SMP rows only in unfiltered runs (the CI invocation).
   if (!engine_filter.empty()) return;
   for (u32 n : {1u, 2u, 4u}) {
-    for (bool threaded : {false, true}) {
-      const std::string mode = threaded ? "threaded" : "interleaved";
-      // UseRealTime: the default CPU-time clock only counts the main
-      // thread, which would credit the threaded harness with work its
-      // worker threads did. Wall time is the honest denominator for an
-      // aggregate-throughput claim on both harnesses.
-      benchmark::RegisterBenchmark(
-          ("BM_SmpAlu_n" + std::to_string(n) + "_" + mode).c_str(),
-          [n, threaded](benchmark::State& st) {
-            RunSmpThroughput(st, /*mem_workload=*/false, n, threaded);
-          })
-          ->UseRealTime();
-      benchmark::RegisterBenchmark(
-          ("BM_SmpMem_n" + std::to_string(n) + "_" + mode).c_str(),
-          [n, threaded](benchmark::State& st) {
-            RunSmpThroughput(st, /*mem_workload=*/true, n, threaded);
-          })
-          ->UseRealTime();
-    }
+    // UseRealTime: aggregate throughput over wall time. It also names the
+    // rows `.../real_time`, as the committed baseline has them.
+    benchmark::RegisterBenchmark(
+        ("BM_SmpAlu_n" + std::to_string(n) + "_interleaved").c_str(),
+        [n](benchmark::State& st) { RunSmpThroughput(st, /*mem_workload=*/false, n); })
+        ->UseRealTime();
+    benchmark::RegisterBenchmark(
+        ("BM_SmpMem_n" + std::to_string(n) + "_interleaved").c_str(),
+        [n](benchmark::State& st) { RunSmpThroughput(st, /*mem_workload=*/true, n); })
+        ->UseRealTime();
   }
 }
 

@@ -94,8 +94,15 @@ pd_shared:
   .space 64
 )",
                           &aerr);
-  auto bad = kext.LoadExtension("buggy", *bad_obj, &diag);
+  if (!kext.LoadExtension("buggy", *bad_obj, &diag)) {
+    std::fprintf(stderr, "insmod: %s\n", diag.c_str());
+    return 1;
+  }
   auto bad_fid = kext.FindFunction("buggy:filter_run");
+  if (!bad_fid) {
+    std::fprintf(stderr, "buggy:filter_run not exported\n");
+    return 1;
+  }
   auto bad_result = kext.Invoke(*bad_fid, 0);
   std::printf("buggy filter invocation: %s\n",
               bad_result.ok ? "SUCCEEDED (bad!)" : bad_result.error.c_str());

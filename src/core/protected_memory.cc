@@ -24,10 +24,10 @@ ProtectedMemoryService::Handle ProtectedMemoryService::CreateRegion(u32 pages) {
     }
     region.frames.push_back(frame);
     // Evict the frame from the kernel direct map: after this, *no* linear
-    // address in any address space reaches it.
+    // address in any address space, on any vCPU, reaches it.
     PageTableEditor ed(kernel_.machine().pm(), kernel_.kernel_cr3());
     ed.Unmap(kKernelBase + frame);
-    kernel_.cpu().tlb().FlushPage(kKernelBase + frame);
+    kernel_.ShootdownPage(kernel_.kernel_cr3(), kKernelBase + frame);
   }
   region.window_base = next_window_base_;
   next_window_base_ += PageAlignUp(pages * kPageSize) + kPageSize;  // guard gap
@@ -116,10 +116,12 @@ void ProtectedMemoryService::CloseWindow(Handle handle) {
   auto it = regions_.find(handle);
   if (it == regions_.end() || !it->second.open) return;
   Region& region = it->second;
+  // Unmapping must reach every vCPU's TLB, or a sibling keeps writing
+  // through the closed window.
   PageTableEditor ed(kernel_.machine().pm(), kernel_.kernel_cr3());
   for (u32 i = 0; i < region.frames.size(); ++i) {
     ed.Unmap(region.window_base + i * kPageSize);
-    kernel_.cpu().tlb().FlushPage(region.window_base + i * kPageSize);
+    kernel_.ShootdownPage(kernel_.kernel_cr3(), region.window_base + i * kPageSize);
   }
   kernel_.gdt().Clear(region.gdt_slot);
   region.open = false;

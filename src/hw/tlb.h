@@ -11,7 +11,6 @@
 #define SRC_HW_TLB_H_
 
 #include <array>
-#include <atomic>
 
 #include "src/hw/types.h"
 
@@ -77,7 +76,7 @@ class Tlb {
   // O(1): stale entries are recognised by their generation tag.
   void Flush() {
     ++gen_;
-    change_count_.fetch_add(1, std::memory_order_release);
+    ++change_count_;
     ++stats_.flushes;
   }
 
@@ -86,25 +85,20 @@ class Tlb {
     const u32 vpn = PageNumber(linear);
     Entry& e = entries_[vpn % kEntries];
     if (e.gen == gen_ && e.vpn == vpn) e.gen = 0;
-    change_count_.fetch_add(1, std::memory_order_release);
+    ++change_count_;
   }
 
   // Monotonic counter covering every invalidation event (full flushes and
   // single-page flushes alike). Consumers caching translations outside the
-  // TLB compare it to detect that their copy may be stale. Atomic for the
-  // threaded SMP mode: entries themselves are only mutated by the owning
-  // vCPU's thread or inside the quiesced barrier window (staged shootdown
-  // delivery), but sibling threads may poll the counter to observe that a
-  // flush was applied. Release on the bump pairs with acquire here, so a
-  // reader that sees the new count also sees the flushed entry state.
-  u64 change_count() const { return change_count_.load(std::memory_order_acquire); }
+  // TLB compare it to detect that their copy may be stale.
+  u64 change_count() const { return change_count_; }
 
   const Stats& stats() const { return stats_; }
 
  private:
   std::array<Entry, kEntries> entries_{};
   u64 gen_ = 1;  // starts above the entries' default tag of 0
-  std::atomic<u64> change_count_{0};
+  u64 change_count_ = 0;
   Stats stats_;
 };
 

@@ -78,7 +78,7 @@ DecodeCache::Page* DecodeCache::GetOrBuild(u32 frame) {
     }
     pages_.clear();
     std::fill(has_code_.begin(), has_code_.end(), 0);
-    generation_.fetch_add(1, std::memory_order_release);
+    ++generation_;
   }
 
   assert(costs_ != nullptr && "DecodeCache::set_cost_table must be called first");
@@ -164,7 +164,7 @@ void DecodeCache::Retire(u32 pfn) {
   retired_.push_back(std::move(it->second));
   pages_.erase(it);
   has_code_[pfn] = 0;
-  generation_.fetch_add(1, std::memory_order_release);
+  ++generation_;
   ++stats_.write_invalidations;
 }
 
@@ -178,7 +178,7 @@ void DecodeCache::InvalidateAll() {
   for (auto& entry : pages_) retired_.push_back(std::move(entry.second));
   pages_.clear();
   std::fill(has_code_.begin(), has_code_.end(), 0);
-  generation_.fetch_add(1, std::memory_order_release);
+  ++generation_;
 }
 
 }  // namespace palladium

@@ -38,7 +38,6 @@
 #define SRC_ISA_DECODE_CACHE_H_
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -196,13 +195,8 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
   void InvalidateAll();
 
   // Bumped whenever any cached page dies; consumers holding a Page* compare
-  // generations before dereferencing. Atomic for the threaded SMP mode:
-  // the owning vCPU's thread is the only *writer* (bumps ride its own
-  // OnPhysicalWrite, or the quiesced barrier window for cross-CPU replays
-  // and kernel evictions), but sibling threads may read the counter through
-  // staged shootdown checks. Release on the bump / acquire on the read
-  // orders the retire itself before any observed generation change.
-  u64 generation() const { return generation_.load(std::memory_order_acquire); }
+  // generations before dereferencing.
+  u64 generation() const { return generation_; }
 
   // Direct view of the has-code bitmap for the trace executor's store fast
   // path: a zero byte proves OnPhysicalWrite would be a no-op for that page,
@@ -230,10 +224,8 @@ class DecodeCache : public PhysicalMemory::WriteObserver {
   const CycleModel::CostTable* costs_ = nullptr;
   std::unordered_map<u32, std::unique_ptr<Page>> pages_;  // keyed by pfn
   std::vector<std::unique_ptr<Page>> retired_;  // freed on next GetOrBuild
-  // Plain bytes on purpose: probed only by the owning vCPU's thread or
-  // inside the quiesced barrier window (see WriteLane in physical_memory.h).
   std::vector<u8> has_code_;                    // pfn -> has a live entry
-  std::atomic<u64> generation_{0};
+  u64 generation_ = 0;
   Stats stats_;
 };
 

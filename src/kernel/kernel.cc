@@ -32,7 +32,6 @@ Kernel::Kernel(Machine& machine, const Config& config)
   // One interrupt fabric (PIC + hub + local timer) and one `current` slot
   // per vCPU. Devices attach to vCPU 0's hub; IPIs target any core's PIC.
   current_.resize(machine_.num_cpus(), nullptr);
-  staged_remote_.resize(machine_.num_cpus());
   for (u32 c = 0; c < machine_.num_cpus(); ++c) {
     fabric_.push_back(std::make_unique<CpuIrqFabric>());
     fabric_.back()->hub.AddDevice(&fabric_.back()->timer);
@@ -122,64 +121,8 @@ obs::Category Kernel::ProfileSet(obs::Category cat) {
   return prev;
 }
 
-void Kernel::StageRemoteOp(u32 target_cpu, const RemoteOp& op) {
-  std::lock_guard<std::mutex> lock(remote_ops_mu_);
-  staged_remote_[target_cpu].push_back(op);
-}
-
-u32 Kernel::staged_remote_ops(u32 target_cpu) const {
-  std::lock_guard<std::mutex> lock(remote_ops_mu_);
-  return target_cpu < staged_remote_.size()
-             ? static_cast<u32>(staged_remote_[target_cpu].size())
-             : 0;
-}
-
-u32 Kernel::DrainRemoteOps(u32 target_cpu) {
-  std::vector<RemoteOp> ops;
-  {
-    std::lock_guard<std::mutex> lock(remote_ops_mu_);
-    if (target_cpu >= staged_remote_.size()) return 0;
-    ops.swap(staged_remote_[target_cpu]);
-  }
-  if (ops.empty()) return 0;
-  // Apply as-if on the target core: staging off so the synchronous paths
-  // run, current_cpu switched so recorder events and cycle stamps land on
-  // the target's track. Only valid in a quiesced/serial context (the epoch
-  // barrier window) — documented in the header.
-  const bool was_staging = stage_remote_ops_;
-  stage_remote_ops_ = false;
-  const u32 saved_cpu = machine_.current_cpu_index();
-  machine_.set_current_cpu(target_cpu);
-  for (const RemoteOp& op : ops) {
-    switch (op.kind) {
-      case RemoteOp::Kind::kFlushPage:
-        machine_.cpu(target_cpu).tlb().FlushPage(op.arg);
-        break;
-      case RemoteOp::Kind::kFlushAll:
-        machine_.cpu(target_cpu).tlb().Flush();
-        break;
-      case RemoteOp::Kind::kIpi:
-        SendIpi(target_cpu, op.irq);
-        break;
-      case RemoteOp::Kind::kEvictFrame:
-        machine_.cpu(target_cpu).decode_cache().EvictFrame(op.arg);
-        break;
-      case RemoteOp::Kind::kWake:
-        if (sched_ != nullptr) sched_->ApplyStagedWake(target_cpu, op.arg, op.stamp);
-        break;
-    }
-  }
-  machine_.set_current_cpu(saved_cpu);
-  stage_remote_ops_ = was_staging;
-  return static_cast<u32>(ops.size());
-}
-
 void Kernel::SendIpi(u32 target_cpu, u32 ipi_irq) {
   if (target_cpu >= machine_.num_cpus()) return;
-  if (stage_remote_ops_ && target_cpu != machine_.current_cpu_index()) {
-    StageRemoteOp(target_cpu, RemoteOp{RemoteOp::Kind::kIpi, 0, ipi_irq, 0});
-    return;
-  }
   fabric_[target_cpu]->pic.Raise(ipi_irq);
   if (recorder_ != nullptr) {
     const u32 cur_cpu = machine_.current_cpu_index();
@@ -207,14 +150,7 @@ void Kernel::ShootdownPage(u32 cr3, u32 linear) {
   for (u32 c = 0; c < machine_.num_cpus(); ++c) {
     if (c == cur_cpu) continue;
     if (!kernel_range && machine_.cpu(c).cr3() != cr3) continue;
-    if (stage_remote_ops_) {
-      // Threaded mode: the sibling may be mid-epoch on its own thread, so
-      // its TLB cannot be touched here. Queue the invalidation; the barrier
-      // drain applies it before the sibling's next epoch.
-      StageRemoteOp(c, RemoteOp{RemoteOp::Kind::kFlushPage, linear, 0, 0});
-    } else {
-      machine_.cpu(c).tlb().FlushPage(linear);
-    }
+    machine_.cpu(c).tlb().FlushPage(linear);
     ++remote;
     if (interrupts_enabled_) {
       SendIpi(c, kIrqIpiShootdown);
@@ -238,11 +174,7 @@ void Kernel::FlushAddressSpace(u32 cr3) {
   bool any_remote = false;
   for (u32 c = 0; c < machine_.num_cpus(); ++c) {
     if (c == cur_cpu || machine_.cpu(c).cr3() != cr3) continue;
-    if (stage_remote_ops_) {
-      StageRemoteOp(c, RemoteOp{RemoteOp::Kind::kFlushAll, 0, 0, 0});
-    } else {
-      machine_.cpu(c).tlb().Flush();
-    }
+    machine_.cpu(c).tlb().Flush();
     any_remote = true;
     if (interrupts_enabled_) {
       SendIpi(c, kIrqIpiShootdown);
@@ -290,13 +222,8 @@ bool Kernel::BuildAddressSpace(Process& proc) {
 }
 
 void Kernel::EvictFrameEverywhere(u32 frame) {
-  const u32 cur_cpu = machine_.current_cpu_index();
   for (u32 c = 0; c < machine_.num_cpus(); ++c) {
-    if (stage_remote_ops_ && c != cur_cpu) {
-      StageRemoteOp(c, RemoteOp{RemoteOp::Kind::kEvictFrame, frame, 0, 0});
-    } else {
-      machine_.cpu(c).decode_cache().EvictFrame(frame);
-    }
+    machine_.cpu(c).decode_cache().EvictFrame(frame);
   }
 }
 

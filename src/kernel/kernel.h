@@ -11,7 +11,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -123,8 +122,6 @@ class Kernel {
   // unmaps the shared kernel PTE (shooting down all TLBs/D-TLBs) and frees
   // the frame. Returns false if the page was not mapped.
   bool UnmapKernelPage(u32 linear);
-  // Direct-map helpers: kernel linear <-> physical.
-  static u32 KernelLinearToPhys(u32 linear) { return linear - kKernelBase; }
   // The kernel-only page directory (valid CR3 when no process is current).
   u32 kernel_cr3() const { return kernel_page_dir_template_; }
   // Read/write kernel virtual memory (e.g. extension segments) from the host.
@@ -192,39 +189,6 @@ class Kernel {
   // Full-flush analogue for address-space-wide permission changes
   // (exec, init_PL): flushes every CPU running `cr3`.
   void FlushAddressSpace(u32 cr3);
-
-  // --- Epoch-staged cross-CPU work ---------------------------------------------
-  // With staging on, the *remote* side of every cross-CPU operation —
-  // sibling TLB shootdowns/flushes, IPIs, sibling decode-cache frame
-  // evictions, cross-queue scheduler wakeups — is queued per target instead
-  // of applied synchronously, and DrainRemoteOps applies a target's queue.
-  // This is the one staging channel: a kernel-level epoch loop is to
-  // drain every target in the quiesced barrier window, so that remote
-  // effects land no later than the next barrier. Nothing drives it yet:
-  // ThreadedSmp runs bare machines and never calls DrainRemoteOps; only
-  // tests switch staging on and drain it. Local effects (the initiator's
-  // own INVLPG/flush/evict) stay synchronous either way. Staging is off by
-  // default: the interleaver's synchronous protocol remains the oracle and
-  // the default semantics.
-  //
-  // StageRemoteOp may be called from any thread; draining and the
-  // initiator-side recorder events assume the caller is in a
-  // quiesced/serial context with current_cpu meaningful.
-  struct RemoteOp {
-    enum class Kind : u8 { kFlushPage, kFlushAll, kIpi, kEvictFrame, kWake };
-    Kind kind;
-    u32 arg = 0;    // kFlushPage: linear; kEvictFrame: frame; kWake: pid
-    u32 irq = 0;    // kIpi: IRQ line on the target's local PIC
-    u64 stamp = 0;  // kWake: the waker's cycle stamp (causality)
-  };
-  void set_stage_remote_ops(bool on) { stage_remote_ops_ = on; }
-  bool stage_remote_ops() const { return stage_remote_ops_; }
-  // Applies the target's queued ops in FIFO order as-if executing on the
-  // target core (temporarily switches current_cpu and disables staging so
-  // the synchronous appliers run). Returns the number of ops applied.
-  u32 DrainRemoteOps(u32 target_cpu);
-  u32 staged_remote_ops(u32 target_cpu) const;
-  void StageRemoteOp(u32 target_cpu, const RemoteOp& op);
 
   // Handler for a device IRQ (NIC, ...), run host-side after the interrupted
   // context has been restored. The timer IRQ is the kernel's own.
@@ -383,9 +347,6 @@ class Kernel {
   Scheduler* sched_ = nullptr;
   bool preempt_pending_ = false;
   SmpStats smp_stats_;
-  bool stage_remote_ops_ = false;
-  mutable std::mutex remote_ops_mu_;           // staging can come off-thread
-  std::vector<std::vector<RemoteOp>> staged_remote_;  // one FIFO per vCPU
   obs::FlightRecorder* recorder_ = nullptr;
   obs::CycleProfile* profiler_ = nullptr;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/hw/smp.h"
 #include "src/obs/profile.h"
 
 namespace palladium {
@@ -55,17 +56,6 @@ void Scheduler::OnWake(Pid pid) {
   const u32 home =
       proc != nullptr && proc->home_cpu < cpus_.size() ? proc->home_cpu : 0;
   const u32 cur_cpu = kernel_.machine().current_cpu_index();
-  if (kernel_.stage_remote_ops() && home != cur_cpu) {
-    // Staged mode: a cross-CPU wakeup must not touch the sibling's ready
-    // queue mid-epoch. Stage it (with the waker's stamp, preserving
-    // causality); the drain enqueues it and kicks the target with a resched
-    // IPI if it is busy.
-    if (proc != nullptr) proc->sched_queued = true;  // dedupe repeat wakes
-    kernel_.StageRemoteOp(
-        home, Kernel::RemoteOp{Kernel::RemoteOp::Kind::kWake, pid, 0,
-                               kernel_.cpu().cycles()});
-    return;
-  }
   // Stamp with the waking vCPU's clock: the wakee must not start in the past.
   Enqueue(home, pid, kernel_.cpu().cycles(), /*front=*/false);
   // Cross-CPU wakeup onto a busy core: kick it with a reschedule IPI so the
@@ -75,16 +65,6 @@ void Scheduler::OnWake(Pid pid) {
   // RunAll loop directly.
   if (home != cur_cpu && kernel_.current(home) != nullptr) {
     kernel_.SendIpi(home, kIrqIpiResched);
-  }
-}
-
-void Scheduler::ApplyStagedWake(u32 target_cpu, Pid pid, u64 stamp) {
-  // Drain half of the staged OnWake above: runs in a quiesced serial
-  // context with current_cpu == target (Kernel::DrainRemoteOps), so the
-  // direct enqueue and the busy-core resched kick are safe again.
-  Enqueue(target_cpu, pid, stamp, /*front=*/false);
-  if (kernel_.current(target_cpu) != nullptr) {
-    kernel_.SendIpi(target_cpu, kIrqIpiResched);
   }
 }
 
@@ -201,39 +181,31 @@ Scheduler::RunAllResult Scheduler::RunAll(u64 cycle_budget) {
       if (kernel_.current(c) == nullptr) Dispatch(c, deadline);
     }
 
-    // (2) Survey. Active vCPUs: the frontier (minimum counter) runs next.
-    // Parked vCPUs: the earliest interrupt-fabric event (an already-latched
-    // deliverable line counts as "now") competes with the frontier.
-    u32 run_cpu = n;
-    u64 min_active = ~0ull, second_active = ~0ull;
+    // (2) Survey. Active vCPUs (those with a current process): the frontier
+    // runs next, picked by the interleaver's rule. Parked vCPUs: the
+    // earliest interrupt-fabric event (an already-latched deliverable line
+    // counts as "now") competes with the frontier.
+    const FrontierPick f =
+        PickFrontier(m, [this](u32 c) { return kernel_.current(c) == nullptr; });
     u32 ev_cpu = n;
     u64 ev_cycle = ~0ull;
     for (u32 c = 0; c < n; ++c) {
-      if (kernel_.current(c) != nullptr) {
-        const u64 cy = m.cpu(c).cycles();
-        if (run_cpu == n || cy < min_active) {
-          second_active = min_active;
-          min_active = cy;
-          run_cpu = c;
-        } else {
-          second_active = std::min(second_active, cy);
-        }
+      if (kernel_.current(c) != nullptr) continue;
+      u64 ev;
+      if (kernel_.pic(c).HasDeliverable()) {
+        ev = m.cpu(c).cycles();
       } else {
-        u64 ev;
-        if (kernel_.pic(c).HasDeliverable()) {
-          ev = m.cpu(c).cycles();
-        } else {
-          // This vCPU's own free-running timer cannot wake anybody; only
-          // real device events (NIC arrivals, ...) count as wakeup sources.
-          ev = kernel_.irq_hub(c).NextDeviceEventExcept(&kernel_.timer(c));
-          if (ev == IrqDevice::kIdle) continue;
-        }
-        if (ev < ev_cycle) {
-          ev_cycle = ev;
-          ev_cpu = c;
-        }
+        // This vCPU's own free-running timer cannot wake anybody; only
+        // real device events (NIC arrivals, ...) count as wakeup sources.
+        ev = kernel_.irq_hub(c).NextDeviceEventExcept(&kernel_.timer(c));
+        if (ev == IrqDevice::kIdle) continue;
+      }
+      if (ev < ev_cycle) {
+        ev_cycle = ev;
+        ev_cpu = c;
       }
     }
+    const u32 run_cpu = f.cpu;
     const bool have_active = run_cpu != n;
     const bool have_event = ev_cpu != n && ev_cycle < deadline;
 
@@ -270,7 +242,7 @@ Scheduler::RunAllResult Scheduler::RunAll(u64 cycle_budget) {
 
     // (3) A parked vCPU's event at or before the frontier is serviced first
     // (its NIC drain / IPI ack happens "while" the others compute).
-    if (have_event && ev_cycle <= min_active) {
+    if (have_event && ev_cycle <= f.cycles) {
       ServiceParked(ev_cpu, ev_cycle, /*machine_idle=*/false);
       continue;
     }
@@ -280,11 +252,9 @@ Scheduler::RunAllResult Scheduler::RunAll(u64 cycle_budget) {
     m.set_current_cpu(run_cpu);
     Cpu& cpu = m.cpu(run_cpu);
     u64 stop_at = deadline;
-    if (second_active != ~0ull) {
-      stop_at = std::min(stop_at, second_active + kSmpQuantumCycles);
-    }
+    if (f.second != ~0ull) stop_at = std::min(stop_at, f.second + kSmpQuantumCycles);
     if (have_event) stop_at = std::min(stop_at, ev_cycle + 1);
-    if (stop_at <= min_active) stop_at = min_active + 1;
+    if (stop_at <= f.cycles) stop_at = f.cycles + 1;
 
     if (prof != nullptr && prof->enabled()) {
       prof->Set(run_cpu, cpu.cycles(), cpu.tlb_stats().misses,

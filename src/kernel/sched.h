@@ -8,8 +8,8 @@
 // the back of the longest sibling queue). RunAll is the machine's
 // deterministic interleaver: it always advances the vCPU with the smallest
 // cycle counter and lets it run at most kSmpQuantumCycles past the
-// second-smallest before rotating — the same min-cycle retire-boundary
-// discipline as SmpInterleaver (src/hw/smp.h), plus scheduling. A vCPU with
+// second-smallest before rotating — SmpInterleaver's frontier rule
+// (PickFrontier, src/hw/smp.h), plus scheduling. A vCPU with
 // no current process still services its interrupt fabric (a parked vCPU 0
 // keeps draining NIC RX while workers run elsewhere), and a process woken
 // by core A never starts on core B earlier than A's wake point (its queue
@@ -89,9 +89,6 @@ class Scheduler {
   // Kernel callbacks (run on the machine's current vCPU).
   bool OnTimerTick();    // true => preempt the current process
   void OnWake(Pid pid);  // a blocked process became runnable: queue it home
-  // Applies a wake OnWake staged in the kernel's RemoteOp queue; called
-  // only from Kernel::DrainRemoteOps, in a quiesced serial context.
-  void ApplyStagedWake(u32 target_cpu, Pid pid, u64 stamp);
   void OnYield() { yield_pending_ = true; }  // sys_yield: voluntary departure
 
   // Consulted when every process is blocked and no device has a scheduled

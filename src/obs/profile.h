@@ -60,10 +60,6 @@ class CycleProfile {
   bool enabled() const { return !per_cpu_.empty(); }
   u32 num_cpus() const { return static_cast<u32>(per_cpu_.size()); }
 
-  // Thread-safety contract (threaded SMP mode): every mutable field lives in
-  // the per-vCPU PerCpu slot and each vCPU only touches its own index, so
-  // concurrent epochs are race-free without locks. Reset and whole-profile
-  // readers are setup/teardown-time only.
   // Opens accounting on vCPU `c` at (cycle, misses) in `cat`.
   void Begin(u32 c, u64 cycle, u64 misses, Category cat);
   // Flushes the open span to its category and opens a new one in `cat`.

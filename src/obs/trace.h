@@ -79,11 +79,6 @@ class FlightRecorder {
   void SetTrackName(u32 track, std::string name);
   const std::string& track_name(u32 track) const { return tracks_[track].name; }
 
-  // Thread-safety contract (threaded SMP mode): all mutable state — ring,
-  // head, total, dropped — is per-Track, and a vCPU only ever records to its
-  // own track, so concurrent epochs are race-free without locks as long as
-  // that ownership holds. Reset/SetTrackName and cross-track readers
-  // (Events, TotalDropped, ToJsonl) are setup/teardown-time only.
   void Record(u32 track, u64 cycle, EventType type, EventClass cls,
               u32 arg0 = 0, u32 arg1 = 0) {
     Track& t = tracks_[track];

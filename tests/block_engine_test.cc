@@ -312,7 +312,9 @@ TEST(BlockEngine, CycleLimitSlicesLandOnIdenticalBoundaries) {
         // The loop goes hot under every slice; only slices wider than one
         // iteration's worst-case cost can enter the trace.
         EXPECT_EQ(bm_fast.cpu().trace_stats().promotions, 1u);
-        if (slice == 64) EXPECT_GT(bm_fast.cpu().trace_stats().uop_insns, 0u);
+        if (slice == 64) {
+          EXPECT_GT(bm_fast.cpu().trace_stats().uop_insns, 0u);
+        }
       }
     }
   }

@@ -21,8 +21,7 @@ constexpr u32 kCodeBase = 0x10000;
 constexpr u32 kStackTop = 0x80000;
 
 // NextRand / FaultRecord / the fuzz-program builder live in
-// tests/fuzz_util.h, shared with the threaded-SMP differential
-// (tests/smp_threaded_test.cc).
+// tests/fuzz_util.h.
 
 // Runs `op a, b` with a in EAX, b in EBX and returns EAX plus the flags.
 struct AluResult {
@@ -598,7 +597,7 @@ TEST(CodeStoreDifferential, AllEightModesAgreeOnCodePageStores) {
     const u64 program_seed = seed * 53 + 5;
     const std::vector<u8> program =
         EncodeLoopedFuzzProgram(program_seed, kIterations, kBodyLen, kCodeBase, kFuzzDataBase,
-                                kFuzzDataSpan, /*esp_reset=*/0, /*code_stores=*/true);
+                                kFuzzDataSpan, /*code_stores=*/true);
     const u64 timer_period = 3'000 + (seed * 1'213) % 9'000;
     std::vector<u64> nic_times;
     u64 st = seed * 0xD1B54A32D192ED03ull + 9;

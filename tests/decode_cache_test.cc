@@ -324,48 +324,6 @@ main:
   EXPECT_EQ(cache.stats().builds, 3u) << "only the changed page is rebuilt";
 }
 
-// The threaded-SMP barrier replays each epoch's logged page ranges to every
-// sibling decode cache (PhysicalMemory::NotifyRangeExcept). A replayed range
-// whose bytes decode as cached keeps the sibling's page; one whose bytes
-// changed — here behind the caches' backs, as a remote vCPU's store is
-// until the barrier — retires it. The excepted cache hears nothing.
-TEST(DecodeCache, RangeReplayKeepsUnchangedSiblingPage) {
-  BareMachineConfig config;
-  config.num_cpus = 2;
-  BareMachine bm(config);
-  Machine& m = bm.machine();
-  std::string diag;
-  auto img = bm.LoadProgram(R"(
-  .global main
-main:
-  mov $1, %eax
-  hlt
-)",
-                            kCodeBase, &diag);
-  ASSERT_TRUE(img.has_value()) << diag;
-  for (u32 c = 0; c < 2; ++c) {
-    bm.StartCpu(c, kCodeBase, 0, kStackTop - c * 0x2000);
-    ASSERT_EQ(m.cpu(c).Run(10'000'000).reason, StopReason::kHalted);
-  }
-  const DecodeCache& local = m.cpu(0).decode_cache();
-  const DecodeCache& sibling = m.cpu(1).decode_cache();
-
-  bm.pm().NotifyRangeExcept(kCodeBase, kCodeBase + kPageSize, &m.cpu(0).decode_cache());
-  EXPECT_EQ(sibling.stats().writes_kept, 1u);
-  EXPECT_EQ(sibling.stats().write_invalidations, 0u);
-
-  // `mov $1` becomes `mov $5` without a notification, then the replay.
-  bm.pm().FrameHostPtr(kCodeBase)[8] = 5;
-  bm.pm().NotifyRangeExcept(kCodeBase, kCodeBase + kPageSize, &m.cpu(0).decode_cache());
-  EXPECT_EQ(sibling.stats().write_invalidations, 1u);
-  EXPECT_EQ(sibling.generation(), 1u);
-  EXPECT_EQ(local.stats().writes_kept + local.stats().write_invalidations, 0u);
-
-  bm.StartCpu(1, kCodeBase, 0, kStackTop - 0x2000);
-  ASSERT_EQ(m.cpu(1).Run(10'000'000).reason, StopReason::kHalted);
-  EXPECT_EQ(m.cpu(1).reg(Reg::kEax), 5u);
-}
-
 // Kernel-style page remap: the same linear page is re-pointed at a different
 // physical frame holding different code. The PTE edit (through the editor's
 // invalidation hook, the kernel's INVLPG analogue) must drop the pinned

@@ -1,12 +1,10 @@
-// Shared fuzz-program machinery for the differential test binaries
-// (tests/cpu_property_test.cc, tests/smp_threaded_test.cc): a deterministic
-// operand generator, the fault-stream record, and the looped fuzz-program
-// builder. The builder is parameterized by code base and data window so the
-// SMP fuzzes can give every vCPU its own program *and* — for the threaded
-// data-race-free differential — its own disjoint data window. Generation is
-// a pure function of (seed, iterations, body_len, code_base, data_base,
-// data_span): identical arguments yield byte-identical programs, which is
-// what the differential harnesses rely on.
+// Fuzz-program machinery for the differential fuzz
+// (tests/cpu_property_test.cc): a deterministic operand generator, the
+// fault-stream record, and the looped fuzz-program builder. The builder is
+// parameterized by code base and data window so the SMP fuzz can give every
+// vCPU its own program. Generation is a pure function of (seed, iterations,
+// body_len, code_base, data_base, data_span): identical arguments yield
+// byte-identical programs, which is what the differential harness relies on.
 #ifndef TESTS_FUZZ_UTIL_H_
 #define TESTS_FUZZ_UTIL_H_
 
@@ -123,8 +121,7 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
   // anchors (and the prologue init), so its value is a window displacement at
   // every instruction boundary — a forward branch that lands *between* an
   // anchor and its memory op still addresses the window, never an arbitrary
-  // scratch value. The threaded differential's data-race-freedom rests on
-  // this: every access must stay inside the vCPU's private window.
+  // scratch value.
   const Reg scratch[] = {Reg::kEax, Reg::kEbx, Reg::kEdx, Reg::kEdi, Reg::kEbp};
   auto pick_reg = [&] { return static_cast<u8>(scratch[NextRand(state) % 5]); };
   auto window_disp = [&] {
@@ -289,21 +286,12 @@ inline bool FuzzLoopIsTopTested(u64 seed) { return (seed & 1) != 0; }
 
 // Counted loop around a fuzz body, ECX = iterations, in the seed's shape
 // (FuzzLoopIsTopTested); both end in hlt. Encoded for loading at
-// `code_base`.
-//
-// `esp_reset`: when nonzero, the loop head reloads ESP with this value every
-// iteration. A runtime-unbalanced body (forward branches skipping pushes or
-// pops) drifts ESP by a bounded amount *per iteration*; without the reset
-// that drift compounds across iterations and the stack excursion is
-// effectively unbounded. The threaded-vs-interleaver differential needs every
-// vCPU's stack accesses confined to a private region (data-race freedom is
-// its precondition), so it caps the excursion to one iteration's worth. The
-// uniprocessor and interleaver-only fuzzes pass 0 (no reset; their drift is
-// identical on both sides of each differential, which is all they need).
+// `code_base`. A runtime-unbalanced body (forward branches skipping pushes
+// or pops) drifts ESP every iteration; the drift is identical on both sides
+// of each differential, which is all the fuzz needs.
 inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 body_len,
                                                u32 code_base, u32 data_base,
-                                               u32 data_span, u32 esp_reset = 0,
-                                               bool code_stores = false) {
+                                               u32 data_span, bool code_stores = false) {
   u64 state = seed * 0x9E3779B97F4A7C15ull + 1;
   const bool top_tested = FuzzLoopIsTopTested(seed);
   std::vector<Insn> program;
@@ -320,13 +308,6 @@ inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 bod
   esi_init.imm = static_cast<i32>(data_base);
   program.push_back(esi_init);
   const u32 loop_base = code_base + 2 * kInsnSize;  // after the one-time inits
-  if (esp_reset != 0) {
-    Insn reset;
-    reset.opcode = Opcode::kMovRI;
-    reset.r1 = static_cast<u8>(Reg::kEsp);
-    reset.imm = static_cast<i32>(esp_reset);
-    program.push_back(reset);
-  }
   Insn cmp;
   cmp.opcode = Opcode::kCmpRI;
   cmp.r1 = static_cast<u8>(Reg::kEcx);
@@ -348,7 +329,7 @@ inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 bod
   dec.r1 = static_cast<u8>(Reg::kEcx);
   program.push_back(dec);
   Insn back;
-  back.imm = static_cast<i32>(loop_base);  // re-runs the ESP reset when present
+  back.imm = static_cast<i32>(loop_base);
   if (top_tested) {
     back.opcode = Opcode::kJmp;
   } else {

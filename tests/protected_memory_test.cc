@@ -1,6 +1,7 @@
 // Protected-memory service tests (the paper's Section 6 "protected memory
 // service" direction): data survives wild writes because no linear mapping
-// reaches the region's frames unless a window is explicitly open.
+// reaches the region's frames unless a window is explicitly open, on any
+// vCPU.
 #include <gtest/gtest.h>
 
 #include "src/asm/assembler.h"
@@ -149,6 +150,69 @@ TEST_F(ProtectedMemoryTest, ReopeningWindowIsIdempotent) {
   pmem_.CloseWindow(h);
   pmem_.CloseWindow(h);  // double close is a no-op
   EXPECT_FALSE(pmem_.IsWindowOpen(h));
+}
+
+// Closing a window must reach every vCPU, not only the one that closes it.
+// vCPU 1 stores through the open window, so its TLB and D-TLB hold the
+// translation; vCPU 0 then closes the window. vCPU 1 runs the same store
+// again without reloading CR3 (a reload would flush): it must fault, and the
+// region must keep its bytes.
+TEST(ProtectedMemorySmp, ClosedWindowIsClosedOnSiblingVcpu) {
+  Machine machine(MachineConfig{64u << 20, CycleModel::Measured(), /*num_cpus=*/2});
+  Kernel kernel(machine);
+  ProtectedMemoryService pmem(kernel);
+  const auto h = pmem.CreateRegion(1);
+  ASSERT_NE(h, 0u);
+  ASSERT_TRUE(pmem.OpenWindow(h).has_value());
+  const u32 window = *pmem.WindowBase(h);
+
+  constexpr u32 kCode = 0x00200000;  // kernel-segment offsets
+  constexpr u32 kStackTop = 0x00202000;
+  ASSERT_NE(kernel.MapKernelPage(kKernelBase + kCode), 0u);
+  ASSERT_NE(kernel.MapKernelPage(kKernelBase + kStackTop - kPageSize), 0u);
+  std::string diag;
+  auto img = AssembleAndLink(R"(
+  .global main
+main:
+  mov $)" + std::to_string(window - kKernelBase) +
+                                 R"(, %ebx
+  sti $0x77, 0(%ebx)
+  hlt
+)",
+                             kCode, {}, &diag);
+  ASSERT_TRUE(img.has_value()) << diag;
+  ASSERT_TRUE(kernel.WriteKernelVirt(kKernelBase + kCode, img->bytes.data(),
+                                     static_cast<u32>(img->bytes.size())));
+
+  machine.set_current_cpu(1);
+  Cpu& cpu = machine.cpu(1);
+  cpu.LoadCr3(kernel.kernel_cr3());
+  cpu.ForceSegment(SegReg::kCs, kKernelCsSel);
+  cpu.ForceSegment(SegReg::kSs, kKernelDsSel);
+  cpu.ForceSegment(SegReg::kDs, kKernelDsSel);
+  cpu.ForceSegment(SegReg::kEs, kKernelDsSel);
+  cpu.set_cpl(0);
+  const auto run_store = [&cpu] {
+    cpu.set_eip(kCode);
+    cpu.set_reg(Reg::kEsp, kStackTop);
+    return cpu.Run(cpu.cycles() + 100'000);
+  };
+  ASSERT_EQ(run_store().reason, StopReason::kHalted);
+  u8 byte = 0;
+  ASSERT_TRUE(pmem.Read(h, 0, &byte, 1));
+  EXPECT_EQ(byte, 0x77u);
+
+  const u8 canary = 0x11;
+  ASSERT_TRUE(pmem.Write(h, 0, &canary, 1));
+  machine.set_current_cpu(0);
+  pmem.CloseWindow(h);
+
+  machine.set_current_cpu(1);
+  const StopInfo stop = run_store();
+  EXPECT_EQ(stop.reason, StopReason::kFault);
+  EXPECT_EQ(stop.fault.vector, FaultVector::kPageFault);
+  ASSERT_TRUE(pmem.Read(h, 0, &byte, 1));
+  EXPECT_EQ(byte, canary) << "vCPU 1 stored through a window vCPU 0 had closed";
 }
 
 }  // namespace

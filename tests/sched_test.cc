@@ -1,7 +1,8 @@
 // Preemptive-scheduler tests: round-robin interleaving under the hardware
 // timer, voluntary yield, budget exhaustion with clean resume, the legacy
-// RunProcess path staying intact alongside the scheduler, and fork under
-// the scheduler (causality on SMP, no half-built child on failure).
+// RunProcess path staying intact alongside the scheduler, fork under the
+// scheduler (causality on SMP, no half-built child on failure), and a
+// cross-CPU wake landing on the wakee's home vCPU.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -323,6 +324,47 @@ touch:
   ASSERT_EQ(free_frames.size(), 2u);
   EXPECT_EQ(free_frames[1], free_frames[0]) << "the failed fork leaked frames";
   EXPECT_EQ(kernel.process(parent + 1), nullptr) << "the half-built child is still listed";
+}
+
+// A wake from vCPU 0 queues the process on its home vCPU 1. A repeat wake
+// finds it already queued and does nothing, and an idle home core gets no
+// resched IPI: RunAll dispatches it there directly. vCPU 0 has a process of
+// its own, so it has no reason to steal the wakee; a second queue entry for
+// the wakee would be stolen while it runs on vCPU 1.
+TEST(Sched, CrossCpuWakeQueuesOnHomeCpu) {
+  KernelFixture f(/*num_cpus=*/2);
+  Kernel& k = f.kernel();
+  Scheduler sched(k);
+  const std::string exit_source = R"(
+  .global main
+main:
+  mov $SYS_EXIT, %eax
+  mov $7, %ebx
+  int $0x80
+)";
+  std::string diag;
+  const Pid pid = f.LoadProgram(exit_source, &diag);
+  ASSERT_NE(pid, 0u) << diag;
+  Process* proc = k.process(pid);
+  ASSERT_NE(proc, nullptr);
+  proc->home_cpu = 1;
+  const Pid own = f.LoadProgram(exit_source, &diag);
+  ASSERT_NE(own, 0u) << diag;
+  sched.AddProcess(own, /*home_cpu=*/0);
+
+  f.machine().set_current_cpu(0);
+  sched.OnWake(pid);
+  EXPECT_TRUE(proc->sched_queued);
+  EXPECT_EQ(proc->home_cpu, 1u);
+  sched.OnWake(pid);
+  EXPECT_TRUE(proc->sched_queued);
+  EXPECT_EQ(k.pic(1).raised(kIrqIpiResched), 0u) << "an idle home core needs no kick";
+
+  const Scheduler::RunAllResult result = sched.RunAll(50'000'000);
+  EXPECT_EQ(result.exited, 2u);
+  EXPECT_EQ(k.process(pid)->exit_code, 7);
+  EXPECT_EQ(sched.cpu_stats(1).context_switches, 1u) << "the wakee runs on its home vCPU";
+  EXPECT_EQ(sched.stats().steals, 0u);
 }
 
 }  // namespace

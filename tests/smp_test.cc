@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -474,92 +473,6 @@ main:
   EXPECT_EQ(k.process(hostile)->exit_code, static_cast<i32>(kErrFault));
   EXPECT_EQ(dataplane.stats().tx_frames, kTotal) << "CPU 0's traffic must not have stalled";
   EXPECT_EQ(static_cast<u64>(k.process(worker)->exit_code), static_cast<u64>(kTotal));
-}
-
-// --- Threaded SMP and kernel-staged cross-CPU work -------------------------------
-
-// The barrier grid is computed by dividing by the epoch, so a zero epoch is
-// refused at construction; the default is kDefaultEpochCycles.
-TEST(ThreadedSmp, EpochDefaultsAndRejectsZero) {
-  BareMachineConfig cfg;
-  cfg.num_cpus = 2;
-  BareMachine bm(cfg);
-  EXPECT_EQ(ThreadedSmp(bm.machine()).epoch_cycles(), ThreadedSmp::kDefaultEpochCycles);
-  EXPECT_THROW(ThreadedSmp(bm.machine(), 0), std::invalid_argument);
-}
-
-// Kernel-level staging (Kernel::set_stage_remote_ops): with staging on, the
-// remote half of a shootdown — sibling TLB flush and the shootdown IPI — is
-// queued per target instead of applied synchronously, and DrainRemoteOps
-// applies it as-if on the target core. Local effects stay synchronous.
-TEST(ThreadedSmp, KernelStagesRemoteShootdownAndIpiUntilDrain) {
-  KernelFixture f(/*num_cpus=*/2);
-  Kernel& k = f.kernel();
-  k.EnableTimerInterrupts();
-  Machine& m = f.machine();
-  m.set_current_cpu(0);
-
-  k.set_stage_remote_ops(true);
-  const u64 cc0 = m.cpu(0).tlb().change_count();
-  const u64 cc1 = m.cpu(1).tlb().change_count();
-  // Kernel-range page: every remote core can cache the translation.
-  k.ShootdownPage(m.cpu(0).cr3(), kKernelBase + 0x5000);
-
-  EXPECT_EQ(m.cpu(0).tlb().change_count(), cc0 + 1)
-      << "the initiator's own INVLPG stays synchronous";
-  EXPECT_EQ(m.cpu(1).tlb().change_count(), cc1)
-      << "the sibling must not be touched mid-epoch";
-  EXPECT_EQ(k.staged_remote_ops(1), 2u) << "flush + IPI staged for CPU 1";
-  EXPECT_EQ(k.pic(1).raised(kIrqIpiShootdown), 0u) << "IPI must not be latched yet";
-
-  // The quiesced barrier window drains the target's queue.
-  EXPECT_EQ(k.DrainRemoteOps(1), 2u);
-  EXPECT_EQ(m.cpu(1).tlb().change_count(), cc1 + 1);
-  EXPECT_GE(k.pic(1).raised(kIrqIpiShootdown), 1u) << "IPI latched on the target's PIC";
-  EXPECT_EQ(k.staged_remote_ops(1), 0u);
-  EXPECT_EQ(k.DrainRemoteOps(1), 0u) << "drain must be idempotent";
-}
-
-// Cross-queue scheduler wakeups stage the same way: OnWake from a foreign
-// vCPU queues a kWake op (deduping repeats) and the drain enqueues the
-// process on its home CPU, which then runs it normally.
-TEST(ThreadedSmp, StagedCrossCpuWakeEnqueuesOnDrain) {
-  KernelFixture f(/*num_cpus=*/2);
-  Kernel& k = f.kernel();
-  Scheduler sched(k);
-  const std::string exit_source = R"(
-  .global main
-main:
-  mov $SYS_EXIT, %eax
-  mov $7, %ebx
-  int $0x80
-)";
-  std::string diag;
-  Pid pid = f.LoadProgram(exit_source, &diag);
-  ASSERT_NE(pid, 0u) << diag;
-  Process* proc = k.process(pid);
-  ASSERT_NE(proc, nullptr);
-  proc->home_cpu = 1;
-  // CPU 0 gets a process of its own, so it has no reason to steal the wakee
-  // and the "ran on its home CPU" assertion below is meaningful.
-  Pid own = f.LoadProgram(exit_source, &diag);
-  ASSERT_NE(own, 0u) << diag;
-  sched.AddProcess(own, /*home_cpu=*/0);
-
-  k.set_stage_remote_ops(true);
-  f.machine().set_current_cpu(0);
-  sched.OnWake(pid);  // cross-CPU wake from CPU 0 toward home CPU 1
-  EXPECT_EQ(k.staged_remote_ops(1), 1u);
-  EXPECT_TRUE(proc->sched_queued) << "staged wake must mark the process queued";
-  sched.OnWake(pid);  // repeat wakes dedupe against sched_queued
-  EXPECT_EQ(k.staged_remote_ops(1), 1u);
-
-  EXPECT_EQ(k.DrainRemoteOps(1), 1u);
-  k.set_stage_remote_ops(false);
-  auto result = sched.RunAll(50'000'000);
-  EXPECT_EQ(result.exited, 2u) << "the drained wake must have made the process runnable";
-  EXPECT_EQ(k.process(pid)->exit_code, 7);
-  EXPECT_GE(sched.cpu_stats(1).context_switches, 1u) << "it must have run on its home CPU";
 }
 
 }  // namespace

@@ -36,11 +36,9 @@ Gate = collections.namedtuple("Gate", "key better tolerance paired when",
                               defaults=(None, None))
 GATES = (
     # Engine sim-MIPS (host time, so runner dependent): block engine vs the
-    # per-instruction path, trace tier vs the block engine, threaded SMP vs
-    # the interleaver on the same host.
+    # per-instruction path, trace tier vs the block engine.
     Gate("*_block", "higher", 0.20, paired="*_insn"),
     Gate("*_trace", "higher", 0.20, paired="*_block"),
-    Gate("*_threaded", "higher", 0.20, paired="*_interleaved"),
     # Dataplane rate in simulated cycles: machine independent, the tolerance
     # only absorbs scheduling nondeterminism. The soak reports requests/sec.
     Gate("dataplane_packets_per_sec|requests_per_sec", "higher", 0.10),
