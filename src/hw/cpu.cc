@@ -1621,7 +1621,7 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 u
                     static_cast<size_t>(UopKind::kCmpJcc) + 1,
                 "kUopLabels must cover every UopKind");
 
-  FlagsCache fc;  // Op::kEager — eflags_ is architecturally current at entry
+  FlagsCache fc = FlagsCache::Eager(eflags_);  // eflags_ is current at entry
   Fault fault;
   const u32 entry_eip = t.entry_eip;  // == eip_: RunBlock's entry condition
   const u32 entry_slot = t.entry_slot;
@@ -1772,7 +1772,7 @@ u_add: {
   const u32 a = regs_[u->r1];
   const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
   regs_[u->r1] = a + b;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kAdd, a, b};
+  if (u->record) fc = FlagsCache::Add(a, b);
   PALLADIUM_UOP_NEXT();
 }
 
@@ -1780,14 +1780,13 @@ u_sub: {
   const u32 a = regs_[u->r1];
   const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
   regs_[u->r1] = a - b;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kSub, a, b};
+  if (u->record) fc = FlagsCache::Sub(a, b);
   PALLADIUM_UOP_NEXT();
 }
 
 u_cmp:
   if (u->record) {
-    fc = FlagsCache{FlagsCache::Op::kSub, regs_[u->r1],
-                    u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2]};
+    fc = FlagsCache::Sub(regs_[u->r1], u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2]);
   }
   PALLADIUM_UOP_NEXT();
 
@@ -1795,14 +1794,14 @@ u_and: {
   const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
   const u32 r = regs_[u->r1] & b;
   regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
+  if (u->record) fc = FlagsCache::Logic(r);
   PALLADIUM_UOP_NEXT();
 }
 
 u_test:
   if (u->record) {
     const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
-    fc = FlagsCache{FlagsCache::Op::kLogic, regs_[u->r1] & b, 0};
+    fc = FlagsCache::Logic(regs_[u->r1] & b);
   }
   PALLADIUM_UOP_NEXT();
 
@@ -1810,7 +1809,7 @@ u_or: {
   const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
   const u32 r = regs_[u->r1] | b;
   regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
+  if (u->record) fc = FlagsCache::Logic(r);
   PALLADIUM_UOP_NEXT();
 }
 
@@ -1818,21 +1817,21 @@ u_xor: {
   const u32 b = u->b_imm ? static_cast<u32>(u->imm) : regs_[u->r2];
   const u32 r = regs_[u->r1] ^ b;
   regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
+  if (u->record) fc = FlagsCache::Logic(r);
   PALLADIUM_UOP_NEXT();
 }
 
 u_shl: {
   const u32 r = regs_[u->r1] << (static_cast<u32>(u->imm) & 31);
   regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
+  if (u->record) fc = FlagsCache::Logic(r);
   PALLADIUM_UOP_NEXT();
 }
 
 u_shr: {
   const u32 r = regs_[u->r1] >> (static_cast<u32>(u->imm) & 31);
   regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
+  if (u->record) fc = FlagsCache::Logic(r);
   PALLADIUM_UOP_NEXT();
 }
 
@@ -1840,7 +1839,7 @@ u_sar: {
   const u32 r =
       static_cast<u32>(static_cast<i32>(regs_[u->r1]) >> (static_cast<u32>(u->imm) & 31));
   regs_[u->r1] = r;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kLogic, r, 0};
+  if (u->record) fc = FlagsCache::Logic(r);
   PALLADIUM_UOP_NEXT();
 }
 
@@ -1850,17 +1849,14 @@ u_imul: {
                          : static_cast<i64>(static_cast<i32>(regs_[u->r2]));
   const i64 r = a * b;
   regs_[u->r1] = static_cast<u32>(r);
-  if (u->record) {
-    fc = FlagsCache{FlagsCache::Op::kImul, static_cast<u32>(r),
-                    r != static_cast<i32>(r) ? 1u : 0u};
-  }
+  if (u->record) fc = FlagsCache::Imul(static_cast<u32>(r), r != static_cast<i32>(r));
   PALLADIUM_UOP_NEXT();
 }
 
 u_neg: {
   const u32 a = regs_[u->r1];
   regs_[u->r1] = 0 - a;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kNeg, a, 0};
+  if (u->record) fc = FlagsCache::Neg(a);
   PALLADIUM_UOP_NEXT();
 }
 
@@ -1869,18 +1865,17 @@ u_not:
   PALLADIUM_UOP_NEXT();
 
 u_inc: {
-  const u32 a = regs_[u->r1];
-  regs_[u->r1] = a + 1;
-  // Capture the carried CF from the previous producer *before* overwriting
-  // the cache — INC preserves CF.
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kInc, a, LazyCf(fc, eflags_) ? 1u : 0u};
+  // INC and DEC preserve CF, which the cache already holds.
+  const u32 r = regs_[u->r1] + 1;
+  regs_[u->r1] = r;
+  if (u->record) fc.Inc(r);
   PALLADIUM_UOP_NEXT();
 }
 
 u_dec: {
-  const u32 a = regs_[u->r1];
-  regs_[u->r1] = a - 1;
-  if (u->record) fc = FlagsCache{FlagsCache::Op::kDec, a, LazyCf(fc, eflags_) ? 1u : 0u};
+  const u32 r = regs_[u->r1] - 1;
+  regs_[u->r1] = r;
+  if (u->record) fc.Dec(r);
   PALLADIUM_UOP_NEXT();
 }
 
@@ -1890,8 +1885,9 @@ u_fold: {
   // Flags as-if the chain's last op alone executed on the true intermediate
   // value (a + the pre-last delta).
   if (u->record) {
-    fc = FlagsCache{u->fold_last_is_sub ? FlagsCache::Op::kSub : FlagsCache::Op::kAdd,
-                    a + static_cast<u32>(u->imm2), static_cast<u32>(u->disp)};
+    const u32 x = a + static_cast<u32>(u->imm2);
+    const u32 d = static_cast<u32>(u->disp);
+    fc = u->fold_last_is_sub ? FlagsCache::Sub(x, d) : FlagsCache::Add(x, d);
   }
   PALLADIUM_UOP_NEXT();
 }
@@ -2214,22 +2210,18 @@ u_jcc: {
   // exit condition; the trace's own edge is the other outcome.
   bool leave;
   switch (u->r1) {
-    case 0: leave = LazyZf(fc, eflags_); break;                                // je
-    case 1: leave = !LazyZf(fc, eflags_); break;                               // jne
-    case 2: leave = LazyCf(fc, eflags_); break;                                // jb
-    case 3: leave = !LazyCf(fc, eflags_); break;                               // jae
-    case 4: leave = LazyCf(fc, eflags_) || LazyZf(fc, eflags_); break;         // jbe
-    case 5: leave = !LazyCf(fc, eflags_) && !LazyZf(fc, eflags_); break;       // ja
-    case 6: leave = LazySf(fc, eflags_) != LazyOf(fc, eflags_); break;         // jl
-    case 7: leave = LazySf(fc, eflags_) == LazyOf(fc, eflags_); break;         // jge
-    case 8:                                                                    // jle
-      leave = LazyZf(fc, eflags_) || LazySf(fc, eflags_) != LazyOf(fc, eflags_);
-      break;
-    case 9:                                                                    // jg
-      leave = !LazyZf(fc, eflags_) && LazySf(fc, eflags_) == LazyOf(fc, eflags_);
-      break;
-    case 10: leave = LazySf(fc, eflags_); break;                               // js
-    default: leave = !LazySf(fc, eflags_); break;                              // jns
+    case 0: leave = LazyZf(fc); break;                                    // je
+    case 1: leave = !LazyZf(fc); break;                                   // jne
+    case 2: leave = fc.cf; break;                                         // jb
+    case 3: leave = !fc.cf; break;                                        // jae
+    case 4: leave = fc.cf || LazyZf(fc); break;                           // jbe
+    case 5: leave = !fc.cf && !LazyZf(fc); break;                         // ja
+    case 6: leave = LazySf(fc) != LazyOf(fc); break;                      // jl
+    case 7: leave = LazySf(fc) == LazyOf(fc); break;                      // jge
+    case 8: leave = LazyZf(fc) || LazySf(fc) != LazyOf(fc); break;        // jle
+    case 9: leave = !LazyZf(fc) && LazySf(fc) == LazyOf(fc); break;       // jg
+    case 10: leave = LazySf(fc); break;                                   // js
+    default: leave = !LazySf(fc); break;                                  // jns
   }
   if (leave) goto guard_exit;
   PALLADIUM_UOP_NEXT();
@@ -2244,7 +2236,7 @@ u_cmpjcc: {
   // compare's architectural flags.
   const u32 a = regs_[u->r1];
   const u32 b = u->b_imm ? static_cast<u32>(u->imm2) : regs_[u->r2];
-  fc = FlagsCache{FlagsCache::Op::kSub, a, b};
+  fc = FlagsCache::Sub(a, b);
   bool leave;
   switch (u->r3) {
     case 0: leave = a == b; break;                                        // je

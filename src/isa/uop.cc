@@ -346,7 +346,7 @@ std::unique_ptr<Trace> LowerLoop(const DecodedInsn* slots, u32 entry_slot, u32 e
   // them, and its exit materializes them; a fault-capable uop makes the
   // flags before it observable (the fault handler sees EFLAGS); INC/DEC
   // propagate observability to the preceding producer only when they
-  // themselves record, because they capture its CF at record time. A
+  // themselves record, because they keep its CF in the cache. A
   // producer whose result is dead records nothing — static dead-flag
   // elimination.
   bool observable = true;

@@ -35,14 +35,15 @@
 //
 // The lowering pass performs the three optimisations of this tier:
 //
-//  * Lazy flags: ALU uops do not compute EFLAGS. They record the operands of
-//    the last flag-producing op in a FlagsCache, and the flags are
-//    materialized — with formulas bit-for-bit identical to Cpu::ExecOp's —
-//    only when something can observe them: a fault (the handler must see
-//    exact EFLAGS) or any trace exit. Guards evaluate their condition from
-//    the cache one flag at a time. A static liveness pass additionally marks
-//    flag writes that are provably overwritten before any observer so they
-//    record nothing at all.
+//  * Lazy flags: ALU uops do not compute EFLAGS. The last flag-producing op
+//    records its result and its CF (ADD and SUB also their first operand) in
+//    a FlagsCache; INC and DEC, which keep CF, record only their result. The
+//    flags are materialized — bit-for-bit Cpu::ExecOp's — only when
+//    something can observe them: a fault (the handler must see exact
+//    EFLAGS) or any trace exit. Guards read CF, ZF and SF straight off the
+//    cache and switch on the operation only for OF. A static liveness pass
+//    additionally marks flag writes that are provably overwritten before any
+//    observer so they record nothing at all.
 //  * Redundant-translation elimination: each memory uop carries a persistent
 //    pin of its last translation (host pointer + PTE flags), revalidated by
 //    three counter compares instead of the D-TLB probe-and-permission walk.
@@ -86,174 +87,87 @@ inline constexpr u32 kFlagOf = 1u << 11;
 inline constexpr u16 kTraceNone = 0xFFFF;         // not (yet) lowered
 inline constexpr u16 kTraceUntraceable = 0xFFFE;  // lowering declined; stay on blocks
 
-// The last flag-producing operation, recorded instead of executed. One entry
-// suffices: every producer either overwrites all four flags from (a, b), or
-// — INC/DEC, which preserve CF — captures the carry it inherited as `b` at
-// record time, so the cache never needs to reach further back than one op.
+// The flag state of the last flag-producing operation, recorded instead of
+// executed. CF is computed when a producer records and is current in every
+// state: trace entry seeds it from EFLAGS.CF, and INC/DEC, which preserve
+// CF, leave it alone, so the cache never reaches back past one op. ZF and SF
+// read off the stored result `r`. Only OF still depends on the operation:
+// ADD and SUB recover their second operand from `r` and `a`; NEG, INC and
+// DEC read their overflow edge off `r`; IMUL's OF is its CF. Until the first
+// producer records, the cache holds the entry EFLAGS and reads from them.
 struct FlagsCache {
   enum class Op : u8 {
-    kEager,  // eflags is architecturally current; nothing pending
+    kEager,  // a = EFLAGS, architecturally current; nothing pending
     kAdd,    // r = a + b
     kSub,    // r = a - b (also CMP)
-    kLogic,  // a = result; CF = OF = 0
-    kImul,   // a = low-32 result, b = overflow bit (CF = OF = b)
-    kNeg,    // r = -a
-    kInc,    // r = a + 1, CF preserved in b
-    kDec,    // r = a - 1, CF preserved in b
+    kLogic,  // OF = 0
+    kImul,   // OF = CF = the signed overflow
+    kNeg,    // r = -x
+    kInc,    // r = x + 1
+    kDec,    // r = x - 1
   };
   Op op = Op::kEager;
-  u32 a = 0;
-  u32 b = 0;
+  bool cf = false;
+  u32 r = 0;
+  u32 a = 0;  // kAdd/kSub: the first operand; kEager: EFLAGS
+
+  static FlagsCache Eager(u32 eflags) { return {Op::kEager, (eflags & kFlagCf) != 0, 0, eflags}; }
+  static FlagsCache Add(u32 a, u32 b) { return {Op::kAdd, a + b < a, a + b, a}; }
+  static FlagsCache Sub(u32 a, u32 b) { return {Op::kSub, a < b, a - b, a}; }
+  static FlagsCache Logic(u32 r) { return {Op::kLogic, false, r, 0}; }
+  static FlagsCache Imul(u32 r, bool overflow) { return {Op::kImul, overflow, r, 0}; }
+  static FlagsCache Neg(u32 a) { return {Op::kNeg, a != 0, 0 - a, 0}; }
+  void Inc(u32 result) {
+    op = Op::kInc;
+    r = result;
+  }
+  void Dec(u32 result) {
+    op = Op::kDec;
+    r = result;
+  }
 };
 
-// Single-flag reads against the lazy cache, for consumers that need one or
-// two bits (INC/DEC capturing CF; an in-trace guard evaluating its condition)
-// without paying a full materialization. Each case is the
-// corresponding MaterializeFlags branch restricted to one flag.
-inline bool LazyCf(const FlagsCache& fc, u32 eflags) {
-  switch (fc.op) {
-    case FlagsCache::Op::kEager:
-      return (eflags & kFlagCf) != 0;
-    case FlagsCache::Op::kAdd:
-      return fc.a + fc.b < fc.a;
-    case FlagsCache::Op::kSub:
-      return fc.a < fc.b;
-    case FlagsCache::Op::kLogic:
-      return false;
-    case FlagsCache::Op::kImul:
-      return fc.b != 0;
-    case FlagsCache::Op::kNeg:
-      return fc.a != 0;
-    case FlagsCache::Op::kInc:
-    case FlagsCache::Op::kDec:
-      return fc.b != 0;
-  }
-  return false;
+// Single-flag reads against the lazy cache, for an in-trace guard that needs
+// one or two bits without paying a full materialization. CF is `fc.cf`.
+inline bool LazyZf(FlagsCache fc) {
+  return fc.op == FlagsCache::Op::kEager ? (fc.a & kFlagZf) != 0 : fc.r == 0;
 }
 
-inline bool LazyZf(const FlagsCache& fc, u32 eflags) {
-  switch (fc.op) {
-    case FlagsCache::Op::kEager:
-      return (eflags & kFlagZf) != 0;
-    case FlagsCache::Op::kAdd:
-      return fc.a + fc.b == 0;
-    case FlagsCache::Op::kSub:
-      return fc.a == fc.b;
-    case FlagsCache::Op::kLogic:
-    case FlagsCache::Op::kImul:
-    case FlagsCache::Op::kNeg:
-      return fc.a == 0;
-    case FlagsCache::Op::kInc:
-      return fc.a + 1 == 0;
-    case FlagsCache::Op::kDec:
-      return fc.a == 1;
-  }
-  return false;
+inline bool LazySf(FlagsCache fc) {
+  return fc.op == FlagsCache::Op::kEager ? (fc.a & kFlagSf) != 0 : (fc.r >> 31) != 0;
 }
 
-inline bool LazySf(const FlagsCache& fc, u32 eflags) {
+inline bool LazyOf(FlagsCache fc) {
   switch (fc.op) {
     case FlagsCache::Op::kEager:
-      return (eflags & kFlagSf) != 0;
-    case FlagsCache::Op::kAdd:
-      return ((fc.a + fc.b) >> 31) != 0;
-    case FlagsCache::Op::kSub:
-      return ((fc.a - fc.b) >> 31) != 0;
-    case FlagsCache::Op::kLogic:
-    case FlagsCache::Op::kImul:
-      return (fc.a >> 31) != 0;
-    case FlagsCache::Op::kNeg:
-      return ((0 - fc.a) >> 31) != 0;
-    case FlagsCache::Op::kInc:
-      return ((fc.a + 1) >> 31) != 0;
-    case FlagsCache::Op::kDec:
-      return ((fc.a - 1) >> 31) != 0;
-  }
-  return false;
-}
-
-inline bool LazyOf(const FlagsCache& fc, u32 eflags) {
-  switch (fc.op) {
-    case FlagsCache::Op::kEager:
-      return (eflags & kFlagOf) != 0;
-    case FlagsCache::Op::kAdd:
-      return ((~(fc.a ^ fc.b)) & (fc.a ^ (fc.a + fc.b)) & 0x80000000u) != 0;
-    case FlagsCache::Op::kSub:
-      return (((fc.a ^ fc.b) & (fc.a ^ (fc.a - fc.b))) & 0x80000000u) != 0;
-    case FlagsCache::Op::kLogic:
-      return false;
-    case FlagsCache::Op::kImul:
-      return fc.b != 0;
-    case FlagsCache::Op::kNeg:
-      return fc.a == 0x80000000u;
-    case FlagsCache::Op::kInc:
-      return fc.a == 0x7FFFFFFFu;
-    case FlagsCache::Op::kDec:
-      return fc.a == 0x80000000u;
-  }
-  return false;
-}
-
-// Returns `eflags` with CF/ZF/SF/OF replaced by the recorded op's results.
-// Each branch is the corresponding Cpu::ExecOp SetFlags call, bit for bit —
-// the differential fuzz holds this function to the interpreter's output.
-inline u32 MaterializeFlags(const FlagsCache& fc, u32 eflags) {
-  bool cf = false, zf = false, sf = false, of = false;
-  switch (fc.op) {
-    case FlagsCache::Op::kEager:
-      return eflags;
+      return (fc.a & kFlagOf) != 0;
     case FlagsCache::Op::kAdd: {
-      const u32 r = fc.a + fc.b;
-      cf = r < fc.a;
-      zf = r == 0;
-      sf = (r >> 31) & 1;
-      of = ((~(fc.a ^ fc.b)) & (fc.a ^ r) & 0x80000000u) != 0;
-      break;
+      const u32 b = fc.r - fc.a;
+      return ((~(fc.a ^ b)) & (fc.a ^ fc.r) & 0x80000000u) != 0;
     }
     case FlagsCache::Op::kSub: {
-      const u32 r = fc.a - fc.b;
-      cf = fc.a < fc.b;
-      zf = r == 0;
-      sf = (r >> 31) & 1;
-      of = (((fc.a ^ fc.b) & (fc.a ^ r)) & 0x80000000u) != 0;
-      break;
+      const u32 b = fc.a - fc.r;
+      return (((fc.a ^ b) & (fc.a ^ fc.r)) & 0x80000000u) != 0;
     }
     case FlagsCache::Op::kLogic:
-      zf = fc.a == 0;
-      sf = (fc.a >> 31) & 1;
-      break;
+      return false;
     case FlagsCache::Op::kImul:
-      cf = of = fc.b != 0;
-      zf = fc.a == 0;
-      sf = (fc.a >> 31) & 1;
-      break;
-    case FlagsCache::Op::kNeg: {
-      const u32 r = 0 - fc.a;
-      cf = fc.a != 0;
-      zf = r == 0;
-      sf = (r >> 31) & 1;
-      of = fc.a == 0x80000000u;
-      break;
-    }
-    case FlagsCache::Op::kInc: {
-      const u32 r = fc.a + 1;
-      cf = fc.b != 0;
-      zf = r == 0;
-      sf = (r >> 31) & 1;
-      of = fc.a == 0x7FFFFFFFu;
-      break;
-    }
-    case FlagsCache::Op::kDec: {
-      const u32 r = fc.a - 1;
-      cf = fc.b != 0;
-      zf = r == 0;
-      sf = (r >> 31) & 1;
-      of = fc.a == 0x80000000u;
-      break;
-    }
+      return fc.cf;
+    case FlagsCache::Op::kNeg:
+    case FlagsCache::Op::kInc:
+      return fc.r == 0x80000000u;
+    case FlagsCache::Op::kDec:
+      return fc.r == 0x7FFFFFFFu;
   }
-  return (eflags & ~(kFlagCf | kFlagZf | kFlagSf | kFlagOf)) | (cf ? kFlagCf : 0) |
-         (zf ? kFlagZf : 0) | (sf ? kFlagSf : 0) | (of ? kFlagOf : 0);
+  return false;
+}
+
+// Returns `eflags` with CF/ZF/SF/OF replaced by the recorded op's results —
+// bit for bit Cpu::ExecOp's SetFlags, which the differential fuzz holds this
+// function to. A cache still in its Eager(eflags) state returns `eflags`.
+inline u32 MaterializeFlags(FlagsCache fc, u32 eflags) {
+  return (eflags & ~(kFlagCf | kFlagZf | kFlagSf | kFlagOf)) | (fc.cf ? kFlagCf : 0) |
+         (LazyZf(fc) ? kFlagZf : 0) | (LazySf(fc) ? kFlagSf : 0) | (LazyOf(fc) ? kFlagOf : 0);
 }
 
 enum class UopKind : u8 {

@@ -118,17 +118,7 @@ bool Scheduler::Dispatch(u32 c, u64 deadline) {
   Cpu& cpu = m.cpu(c);
   // Causality: a process enqueued at cycle S on another core cannot start
   // before S on this one; an idle core's lagging clock snaps forward.
-  if (stamp > cpu.cycles()) {
-    obs::CycleProfile* prof = kernel_.profiler();
-    if (prof != nullptr && prof->enabled()) {
-      // The skipped span is idle time on this core, not kernel work.
-      prof->Set(c, cpu.cycles(), cpu.tlb_stats().misses, obs::Category::kIdle);
-      cpu.set_cycles(stamp);
-      prof->Set(c, cpu.cycles(), cpu.tlb_stats().misses, obs::Category::kKernel);
-    } else {
-      cpu.set_cycles(stamp);
-    }
-  }
+  if (stamp > cpu.cycles()) SkipIdle(c, stamp);
   m.set_current_cpu(c);
   kernel_.SwitchTo(*proc);
   ++stats_.context_switches;
@@ -138,26 +128,29 @@ bool Scheduler::Dispatch(u32 c, u64 deadline) {
 }
 
 void Scheduler::ServiceParked(u32 c, u64 event_cycle, bool machine_idle) {
-  Machine& m = kernel_.machine();
-  m.set_current_cpu(c);
-  Cpu& cpu = m.cpu(c);
-  if (event_cycle > cpu.cycles()) {
+  kernel_.machine().set_current_cpu(c);
+  if (event_cycle > kernel_.machine().cpu(c).cycles()) {
     // The span this vCPU skips was idle time on this core whether or not
     // the rest of the machine was busy — counting only whole-machine idle
     // under-reported idle on any loaded SMP run (and reported 0 for a
     // saturated N=1 run that still parked between bursts).
-    stats_.idle_cycles += event_cycle - cpu.cycles();
+    SkipIdle(c, event_cycle);
     if (machine_idle) ++stats_.idle_jumps;
-    obs::CycleProfile* prof = kernel_.profiler();
-    if (prof != nullptr && prof->enabled()) {
-      prof->Set(c, cpu.cycles(), cpu.tlb_stats().misses, obs::Category::kIdle);
-      cpu.set_cycles(event_cycle);
-      prof->Set(c, cpu.cycles(), cpu.tlb_stats().misses, obs::Category::kKernel);
-    } else {
-      cpu.set_cycles(event_cycle);
-    }
   }
   kernel_.ServicePendingIrqsHostSide();
+}
+
+void Scheduler::SkipIdle(u32 c, u64 cycle) {
+  Cpu& cpu = kernel_.machine().cpu(c);
+  stats_.idle_cycles += cycle - cpu.cycles();
+  obs::CycleProfile* prof = kernel_.profiler();
+  if (prof != nullptr && prof->enabled()) {
+    prof->Set(c, cpu.cycles(), cpu.tlb_stats().misses, obs::Category::kIdle);
+    cpu.set_cycles(cycle);
+    prof->Set(c, cpu.cycles(), cpu.tlb_stats().misses, obs::Category::kKernel);
+  } else {
+    cpu.set_cycles(cycle);
+  }
 }
 
 Scheduler::RunAllResult Scheduler::RunAll(u64 cycle_budget) {

@@ -119,6 +119,9 @@ class Scheduler {
   void Enqueue(u32 c, Pid pid, u64 stamp, bool front);
   // Advances a parked vCPU to `event_cycle` and services its fabric.
   void ServiceParked(u32 c, u64 event_cycle, bool machine_idle);
+  // Moves idle vCPU `c`'s clock forward to `cycle`, booking the span as idle
+  // in the stats (which obs::BusyCycles subtracts) and in the profiler.
+  void SkipIdle(u32 c, u64 cycle);
 
   Kernel& kernel_;
   Config config_;

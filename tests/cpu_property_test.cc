@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "src/hw/bare_machine.h"
@@ -227,6 +228,20 @@ main:
 // instructions are skipped and recorded so hostile page setups yield long
 // fault streams instead of stopping at the first one.
 
+// Every distinct (engine x D-TLB) mode; the first is the reference the
+// differential fuzzes compare every other mode against.
+struct EngineMode {
+  Engine engine;
+  bool dtlb;
+  const char* name;
+};
+constexpr EngineMode kEngineModes[] = {
+    {Engine::kTrace, true, "trace/dtlb"},   {Engine::kTrace, false, "trace/no-dtlb"},
+    {Engine::kBlock, true, "block/dtlb"},   {Engine::kBlock, false, "block/no-dtlb"},
+    {Engine::kInsn, true, "insn/dtlb"},     {Engine::kInsn, false, "insn/no-dtlb"},
+    {Engine::kOracle, true, "oracle/dtlb"}, {Engine::kOracle, false, "oracle/no-dtlb"},
+};
+
 struct DiffRun {
   StopReason final_reason = StopReason::kHalted;
   std::vector<FaultRecord> faults;
@@ -251,11 +266,15 @@ std::vector<u8> EncodeFuzzProgram(u64 seed, u32 iterations, u32 body_len) {
                                  kFuzzDataSpan);
 }
 
-DiffRun RunDifferential(const std::vector<u8>& program, FuzzMode mode, bool dtlb) {
+// Runs `program` with the D-TLB on or off, on `engine` or, when none is
+// given, on the engine the environment selects (RuntimeConfig).
+DiffRun RunDifferential(const std::vector<u8>& program, FuzzMode mode, bool dtlb,
+                        std::optional<Engine> engine = std::nullopt) {
   BareMachineConfig config;
   config.physical_memory_bytes = kFuzzMem;
   BareMachine bm(config);
   bm.cpu().set_dtlb_enabled(dtlb);
+  if (engine.has_value()) bm.cpu().set_engine(*engine);
   EXPECT_TRUE(bm.pm().WriteBlock(kCodeBase, program.data(),
                                  static_cast<u32>(program.size())));
   const bool hostile = mode == FuzzMode::kHostileCpl3 || mode == FuzzMode::kHostileCpl0;
@@ -292,6 +311,37 @@ DiffRun RunDifferential(const std::vector<u8>& program, FuzzMode mode, bool dtlb
   return out;
 }
 
+// Architectural state, memory image, cycles, TLB misses and fault stream
+// must match; so must TLB hits unless one side is the oracle engine, which
+// fetches per byte.
+void ExpectSameDiffRun(const DiffRun& a, const DiffRun& b, bool compare_tlb_hits) {
+  EXPECT_EQ(a.final_reason, b.final_reason);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.cycles, b.cycles) << "cycle model diverged";
+  if (compare_tlb_hits) {
+    EXPECT_EQ(a.tlb_hits, b.tlb_hits) << "TLB hit accounting diverged";
+  }
+  EXPECT_EQ(a.tlb_misses, b.tlb_misses);
+
+  ASSERT_EQ(a.faults.size(), b.faults.size()) << "fault streams differ in length";
+  for (size_t i = 0; i < a.faults.size(); ++i) {
+    EXPECT_TRUE(a.faults[i] == b.faults[i]) << "fault " << i << " diverged";
+  }
+
+  EXPECT_EQ(a.ctx.eip, b.ctx.eip);
+  EXPECT_EQ(a.ctx.eflags, b.ctx.eflags);
+  EXPECT_EQ(a.ctx.cpl, b.ctx.cpl);
+  for (u8 r = 0; r < kNumRegs; ++r) {
+    EXPECT_EQ(a.ctx.regs[r], b.ctx.regs[r]) << "reg " << static_cast<int>(r);
+  }
+  for (u8 s = 0; s < kNumSegRegs; ++s) {
+    EXPECT_EQ(a.ctx.segs[s].selector.raw(), b.ctx.segs[s].selector.raw());
+  }
+  ASSERT_EQ(a.memory.size(), b.memory.size());
+  EXPECT_EQ(std::memcmp(a.memory.data(), b.memory.data(), a.memory.size()), 0)
+      << "memory images diverged";
+}
+
 TEST(DtlbDifferential, FastAndSlowPathsAgreeOnRandomPrograms) {
   constexpr u32 kSeeds = 52;
   constexpr u32 kIterations = 400;
@@ -304,30 +354,38 @@ TEST(DtlbDifferential, FastAndSlowPathsAgreeOnRandomPrograms) {
 
     SCOPED_TRACE("seed " + std::to_string(seed) + " mode " +
                  std::to_string(static_cast<int>(mode)));
-    EXPECT_EQ(fast.final_reason, slow.final_reason);
     EXPECT_GE(fast.instructions, 10'000u) << "fuzz body too small to be meaningful";
-    EXPECT_EQ(fast.instructions, slow.instructions);
-    EXPECT_EQ(fast.cycles, slow.cycles) << "cycle model diverged";
-    EXPECT_EQ(fast.tlb_hits, slow.tlb_hits) << "TLB hit accounting diverged";
-    EXPECT_EQ(fast.tlb_misses, slow.tlb_misses);
+    ExpectSameDiffRun(fast, slow, /*compare_tlb_hits=*/true);
+  }
+}
 
-    ASSERT_EQ(fast.faults.size(), slow.faults.size()) << "fault streams differ in length";
-    for (size_t i = 0; i < fast.faults.size(); ++i) {
-      EXPECT_TRUE(fast.faults[i] == slow.faults[i]) << "fault " << i << " diverged";
+// The same comparison across all eight engine modes on flag-corner programs
+// (tests/fuzz_util.h): an up-counting loop whose head, and so every trace
+// entry, sees CF set, and bodies that draw `imul` and forward branches on
+// all 12 conditions. A trace tier that loses the carry live at its entry,
+// or gets a guard condition the default draw never makes wrong, diverges
+// from the eager engines here.
+TEST(FlagCornerDifferential, AllEightModesAgreeWithCarryLiveAtEntry) {
+  constexpr u32 kSeeds = 24;
+  constexpr u32 kIterations = 300;
+  constexpr u32 kBodyLen = 224;
+  for (u64 seed = 1; seed <= kSeeds; ++seed) {
+    const FuzzMode mode = static_cast<FuzzMode>(seed % static_cast<u64>(FuzzMode::kCount));
+    const std::vector<u8> program =
+        EncodeLoopedFuzzProgram(seed, kIterations, kBodyLen, kCodeBase, kFuzzDataBase,
+                                kFuzzDataSpan, /*code_stores=*/false, /*flag_corners=*/true);
+    DiffRun ref;
+    for (const EngineMode& em : kEngineModes) {
+      DiffRun run = RunDifferential(program, mode, em.dtlb, em.engine);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " config " + em.name);
+      if (&em == &kEngineModes[0]) {
+        ref = std::move(run);
+        // Forward branches on all 12 conditions skip more of the body.
+        EXPECT_GE(ref.instructions, 5'000u) << "fuzz body too small to be meaningful";
+        continue;
+      }
+      ExpectSameDiffRun(run, ref, /*compare_tlb_hits=*/em.engine != Engine::kOracle);
     }
-
-    EXPECT_EQ(fast.ctx.eip, slow.ctx.eip);
-    EXPECT_EQ(fast.ctx.eflags, slow.ctx.eflags);
-    EXPECT_EQ(fast.ctx.cpl, slow.ctx.cpl);
-    for (u8 r = 0; r < kNumRegs; ++r) {
-      EXPECT_EQ(fast.ctx.regs[r], slow.ctx.regs[r]) << "reg " << static_cast<int>(r);
-    }
-    for (u8 s = 0; s < kNumSegRegs; ++s) {
-      EXPECT_EQ(fast.ctx.segs[s].selector.raw(), slow.ctx.segs[s].selector.raw());
-    }
-    ASSERT_EQ(fast.memory.size(), slow.memory.size());
-    EXPECT_EQ(std::memcmp(fast.memory.data(), slow.memory.data(), fast.memory.size()), 0)
-        << "memory images diverged";
   }
 }
 
@@ -338,20 +396,6 @@ TEST(DtlbDifferential, FastAndSlowPathsAgreeOnRandomPrograms) {
 // effects — registers, memory (ISR counters, interrupt frames), cycles,
 // fault stream AND interrupt stream — must be identical in the eight
 // distinct modes: Engine {trace, block, insn, oracle} x D-TLB {on, off}.
-
-// Every distinct (engine x D-TLB) mode; the first is the reference the
-// differential fuzzes compare every other mode against.
-struct EngineMode {
-  Engine engine;
-  bool dtlb;
-  const char* name;
-};
-constexpr EngineMode kEngineModes[] = {
-    {Engine::kTrace, true, "trace/dtlb"},   {Engine::kTrace, false, "trace/no-dtlb"},
-    {Engine::kBlock, true, "block/dtlb"},   {Engine::kBlock, false, "block/no-dtlb"},
-    {Engine::kInsn, true, "insn/dtlb"},     {Engine::kInsn, false, "insn/no-dtlb"},
-    {Engine::kOracle, true, "oracle/dtlb"}, {Engine::kOracle, false, "oracle/no-dtlb"},
-};
 
 class ScriptedIrqDevice : public IrqDevice {
  public:

@@ -2,9 +2,9 @@
 // (tests/cpu_property_test.cc): a deterministic operand generator, the
 // fault-stream record, and the looped fuzz-program builder. The builder is
 // parameterized by code base and data window so the SMP fuzz can give every
-// vCPU its own program. Generation is a pure function of (seed, iterations,
-// body_len, code_base, data_base, data_span): identical arguments yield
-// byte-identical programs, which is what the differential harness relies on.
+// vCPU its own program. Generation is a pure function of its arguments:
+// identical arguments yield byte-identical programs, which is what the
+// differential harness relies on.
 #ifndef TESTS_FUZZ_UTIL_H_
 #define TESTS_FUZZ_UTIL_H_
 
@@ -99,11 +99,12 @@ inline void AppendCodeStore(u64* state, std::vector<Insn>* body, u32 body_base, 
 // `code_stores` also mixes in stores to the body's own code page, the
 // writes a decode cache must judge (see AppendCodeStore); the body and the
 // loop's at most four closing slots must then leave at least one spare slot
-// on that page. Without it the draws, and so every existing seed's program,
-// are unchanged.
+// on that page. `flag_corners` adds `imul` r,r and r,imm to the ALU draws and
+// draws forward branches from all 12 conditions instead of 8. Without either
+// the draws, and so every existing seed's program, are unchanged.
 inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
                                        u32 data_base, u32 data_span,
-                                       bool code_stores = false) {
+                                       bool code_stores = false, bool flag_corners = false) {
   std::vector<Insn> body;
   body.reserve(body_len);
   // Slot 0 of a code-storing body is the designated `mov $imm, %edi` whose
@@ -189,9 +190,9 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
         break;
       }
       case 7: {  // ALU r,r
-        const Opcode ops[] = {Opcode::kAddRR, Opcode::kSubRR, Opcode::kAndRR,
-                              Opcode::kOrRR,  Opcode::kXorRR, Opcode::kCmpRR};
-        in.opcode = ops[NextRand(state) % 6];
+        const Opcode ops[] = {Opcode::kAddRR, Opcode::kSubRR, Opcode::kAndRR, Opcode::kOrRR,
+                              Opcode::kXorRR, Opcode::kCmpRR, Opcode::kImulRR};
+        in.opcode = ops[NextRand(state) % (flag_corners ? 7 : 6)];
         in.r1 = pick_reg();
         in.r2 = pick_reg();
         break;
@@ -199,8 +200,8 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
       case 8: {  // ALU r,imm
         const Opcode ops[] = {Opcode::kAddRI, Opcode::kSubRI, Opcode::kAndRI,
                               Opcode::kOrRI,  Opcode::kXorRI, Opcode::kCmpRI,
-                              Opcode::kTestRI};
-        in.opcode = ops[NextRand(state) % 7];
+                              Opcode::kTestRI, Opcode::kImulRI};
+        in.opcode = ops[NextRand(state) % (flag_corners ? 8 : 7)];
         in.r1 = pick_reg();
         in.imm = static_cast<i32>(NextRand(state));
         break;
@@ -254,9 +255,10 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
           in.opcode = Opcode::kNop;
           break;
         }
-        const Opcode ops[] = {Opcode::kJe, Opcode::kJne, Opcode::kJb,  Opcode::kJae,
-                              Opcode::kJl, Opcode::kJge, Opcode::kJs,  Opcode::kJns};
-        in.opcode = ops[NextRand(state) % 8];
+        const Opcode ops[] = {Opcode::kJe,  Opcode::kJne, Opcode::kJb,  Opcode::kJae,
+                              Opcode::kJl,  Opcode::kJge, Opcode::kJs,  Opcode::kJns,
+                              Opcode::kJbe, Opcode::kJa,  Opcode::kJle, Opcode::kJg};
+        in.opcode = ops[NextRand(state) % (flag_corners ? 12 : 8)];
         in.imm = static_cast<i32>(body_base + (lo + NextRand(state) % (hi - lo)) * kInsnSize);
         break;
       }
@@ -281,24 +283,30 @@ inline std::vector<Insn> BuildFuzzBody(u64* state, u32 body_base, u32 body_len,
 // %ecx; je out; body; dec %ecx; jmp head`, a guard at the head and an
 // unconditional backward jump). Both are shapes the trace tier closes into
 // loops; the top-tested one spans at least two runs, so only multi-run
-// lowering can promote it.
+// lowering can promote it. The bottom-tested shape enters its head with CF
+// clear; the top-tested head overwrites every flag.
 inline bool FuzzLoopIsTopTested(u64 seed) { return (seed & 1) != 0; }
 
-// Counted loop around a fuzz body, ECX = iterations, in the seed's shape
-// (FuzzLoopIsTopTested); both end in hlt. Encoded for loading at
-// `code_base`. A runtime-unbalanced body (forward branches skipping pushes
-// or pops) drifts ESP every iteration; the drift is identical on both sides
-// of each differential, which is all the fuzz needs.
+// Counted loop around a fuzz body, in the seed's shape (FuzzLoopIsTopTested);
+// both end in hlt. Encoded for loading at `code_base`. A runtime-unbalanced
+// body (forward branches skipping pushes or pops) drifts ESP every
+// iteration; the drift is identical on both sides of each differential,
+// which is all the fuzz needs. With `flag_corners` (see BuildFuzzBody) the
+// loop counts ECX up instead, `body; inc %ecx; cmp $iterations, %ecx; jb
+// head`, so after the first iteration every entry at the head, the trace
+// tier's included, carries CF set into a body whose first flag writer may
+// be an `inc` or `dec`.
 inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 body_len,
-                                               u32 code_base, u32 data_base,
-                                               u32 data_span, bool code_stores = false) {
+                                               u32 code_base, u32 data_base, u32 data_span,
+                                               bool code_stores = false,
+                                               bool flag_corners = false) {
   u64 state = seed * 0x9E3779B97F4A7C15ull + 1;
-  const bool top_tested = FuzzLoopIsTopTested(seed);
+  const bool top_tested = !flag_corners && FuzzLoopIsTopTested(seed);
   std::vector<Insn> program;
   Insn init;
   init.opcode = Opcode::kMovRI;
   init.r1 = static_cast<u8>(Reg::kEcx);
-  init.imm = static_cast<i32>(iterations);
+  init.imm = flag_corners ? 0 : static_cast<i32>(iterations);
   program.push_back(init);
   // ESI starts window-interior so a branch that reaches a case-12 memory op
   // before the first anchor of the run still addresses the window.
@@ -321,20 +329,21 @@ inline std::vector<u8> EncodeLoopedFuzzProgram(u64 seed, u32 iterations, u32 bod
     program.push_back(je);
   }
   const u32 body_base = code_base + static_cast<u32>(program.size()) * kInsnSize;
-  std::vector<Insn> body =
-      BuildFuzzBody(&state, body_base, body_len, data_base, data_span, code_stores);
+  std::vector<Insn> body = BuildFuzzBody(&state, body_base, body_len, data_base, data_span,
+                                         code_stores, flag_corners);
   program.insert(program.end(), body.begin(), body.end());
-  Insn dec;
-  dec.opcode = Opcode::kDecR;
-  dec.r1 = static_cast<u8>(Reg::kEcx);
-  program.push_back(dec);
+  Insn step;
+  step.opcode = flag_corners ? Opcode::kIncR : Opcode::kDecR;
+  step.r1 = static_cast<u8>(Reg::kEcx);
+  program.push_back(step);
   Insn back;
   back.imm = static_cast<i32>(loop_base);
   if (top_tested) {
     back.opcode = Opcode::kJmp;
   } else {
+    if (flag_corners) cmp.imm = static_cast<i32>(iterations);
     program.push_back(cmp);
-    back.opcode = Opcode::kJne;
+    back.opcode = flag_corners ? Opcode::kJb : Opcode::kJne;
   }
   program.push_back(back);
   Insn hlt;

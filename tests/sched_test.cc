@@ -1,8 +1,9 @@
 // Preemptive-scheduler tests: round-robin interleaving under the hardware
 // timer, voluntary yield, budget exhaustion with clean resume, the legacy
 // RunProcess path staying intact alongside the scheduler, fork under the
-// scheduler (causality on SMP, no half-built child on failure), and a
-// cross-CPU wake landing on the wakee's home vCPU.
+// scheduler (causality on SMP, no half-built child on failure), a
+// cross-CPU wake landing on the wakee's home vCPU, and the idle span that
+// wake's causality snap books.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "src/kernel/sched.h"
+#include "src/obs/profile.h"
 #include "tests/kernel_test_util.h"
 
 namespace palladium {
@@ -365,6 +367,58 @@ main:
   EXPECT_EQ(k.process(pid)->exit_code, 7);
   EXPECT_EQ(sched.cpu_stats(1).context_switches, 1u) << "the wakee runs on its home vCPU";
   EXPECT_EQ(sched.stats().steals, 0u);
+}
+
+// vCPU 0 spins, then wakes a process homed on vCPU 1, which has been parked
+// at cycle 0 all along. Dispatch snaps vCPU 1's clock forward to the wake's
+// stamp, and that span is idle time on vCPU 1: the scheduler's idle_cycles
+// (which obs::BusyCycles subtracts) must book it exactly as the cycle
+// profiler does, or busy time reads high by the whole snap.
+TEST(Sched, CausalitySnapCountsAsIdle) {
+  KernelFixture f(/*num_cpus=*/2);
+  Kernel& k = f.kernel();
+  obs::CycleProfile prof;
+  prof.Reset(2, f.machine().cpu(0).cycle_model().tlb_miss_penalty);
+  k.AttachObservability(nullptr, &prof);
+  Scheduler sched(k);
+  std::string diag;
+  const Pid wakee = f.LoadProgram(R"(
+  .global main
+main:
+  mov $SYS_EXIT, %eax
+  mov $0, %ebx
+  int $0x80
+)",
+                                  &diag);
+  ASSERT_NE(wakee, 0u) << diag;
+  k.process(wakee)->home_cpu = 1;
+  k.RegisterSyscall(232, [&](Kernel& kk, u32, u32, u32) {
+    sched.OnWake(wakee);
+    kk.ReturnFromGate(0);
+  });
+  const Pid waker = f.LoadProgram(R"(
+  .global main
+main:
+  mov $3000, %ecx
+spin:
+  dec %ecx
+  cmp $0, %ecx
+  jne spin
+  mov $232, %eax
+  int $0x80
+  mov $SYS_EXIT, %eax
+  mov $0, %ebx
+  int $0x80
+)",
+                                  &diag);
+  ASSERT_NE(waker, 0u) << diag;
+  sched.AddProcess(waker, /*home_cpu=*/0);
+
+  const Scheduler::RunAllResult result = sched.RunAll(50'000'000);
+  EXPECT_EQ(result.exited, 2u);
+  EXPECT_EQ(sched.cpu_stats(1).context_switches, 1u) << "the wakee runs on its home vCPU";
+  EXPECT_GT(prof.BucketTotal(obs::Category::kIdle), 8'000u) << "vCPU 1 lagged the wake";
+  EXPECT_EQ(sched.stats().idle_cycles, prof.BucketTotal(obs::Category::kIdle));
 }
 
 }  // namespace

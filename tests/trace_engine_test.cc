@@ -3,7 +3,8 @@
 // heads that cannot close stay on the block engine), guard exits, the
 // invalidation edges the tier must get exactly right — a self-modifying
 // store executing *inside* the hot trace, and an SMP remote store retiring
-// the trace's page mid-loop — plus lazy-flags exactness at a fault boundary,
+// the trace's page mid-loop — plus lazy-flags exactness at a fault boundary
+// and at every flag producer's operand edges under all 12 guard conditions,
 // the memory labels' segment windows and pin checks (byte and dword accesses
 // at a segment limit, a pinned PPL 0 page after a drop to CPL 3, pins made
 // stale by a PTE edit or CR3 reload), cycle-limit slicing, the flight
@@ -14,6 +15,7 @@
 // streams must be byte-identical with the tier on or off.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,10 +63,13 @@ TraceRunResult Capture(const StopInfo& stop, const Cpu& cpu) {
 
 // Assembles and runs `source` at kCodeBase with the trace tier on or off
 // (block engine always on — it is the tier's host) and returns final state.
-// An optional flight recorder is attached on track 0.
+// An optional flight recorder is attached on track 0. With `faults`, a fault
+// does not end the run: the state its handler would see is appended there
+// and execution resumes at the address the program keeps in EDI.
 TraceRunResult RunWithTrace(const std::string& source, bool trace,
                             u64 cycle_limit = 10'000'000,
-                            obs::FlightRecorder* recorder = nullptr) {
+                            obs::FlightRecorder* recorder = nullptr,
+                            std::vector<TraceRunResult>* faults = nullptr) {
   BareMachine bm;
   bm.cpu().set_engine(trace ? Engine::kTrace : Engine::kBlock);
   if (recorder != nullptr) bm.cpu().set_recorder(recorder, 0);
@@ -72,7 +77,12 @@ TraceRunResult RunWithTrace(const std::string& source, bool trace,
   auto img = bm.LoadProgram(source, kCodeBase, &diag);
   EXPECT_TRUE(img.has_value()) << diag;
   bm.Start(*img->Lookup("main"), 0, kStackTop);
-  const StopInfo stop = bm.Run(cycle_limit);
+  StopInfo stop = bm.Run(cycle_limit);
+  while (faults != nullptr && stop.reason == StopReason::kFault && faults->size() < 10'000) {
+    faults->push_back(Capture(stop, bm.cpu()));
+    bm.cpu().set_eip(bm.cpu().reg(Reg::kEdi));
+    stop = bm.Run(cycle_limit);
+  }
   return Capture(stop, bm.cpu());
 }
 
@@ -377,6 +387,141 @@ loop:
   EXPECT_GE(on.trace.promotions, 1u) << "the loop must have faulted while hot";
   EXPECT_GE(on.trace.flag_materializations, 1u)
       << "the fault exit must have materialized lazy flags";
+}
+
+// --- Lazy flags at every producer's edges ------------------------------------
+// Each flag producer the tier lowers, on the operands where its flag rules
+// turn ({0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF}; shift counts 0, 1, 31),
+// guarded by each of the 12 conditions. A case is its own hot loop
+//
+//     c<k>: EDI = c<k+1>; ESI = 32 bytes below the end of mapped memory;
+//           CF = the case's entry carry
+//     l<k>: EAX (, EBX) = the operands; <producer>; j<cond> t<k>
+//     b<k>: ld8 (%esi) — faults on iteration 33; ESI += 1; jmp l<k>
+//     t<k>: jmp b<k>
+//
+// that promotes by iteration 17 and whose byte load then faults with the
+// producer's flags still lazy, so the fault delivers them materialized. INC
+// and DEC, which keep CF, also run with the carry set and clear at entry and
+// with no guard at all (the fault comes right after them); every other
+// producer alternates the entry carry. One row runs its `cmp` before l<k>
+// instead, so the guard reads the flags the trace was entered with.
+// RunWithTrace resumes each fault at the next case, and every fault's state
+// must match the block engine's.
+constexpr u32 kIdentityEnd = 16u << 20;  // BareMachine's default memory, all mapped
+
+// How a row's producer takes its operands; `a` is always in EAX. A fold is
+// an add/sub-immediate chain whose last op sees `a`.
+enum class Form { kRegReg, kRegImm, kUnary, kFold };
+
+struct FlagProducer {
+  const char* op;
+  Form form;
+  std::vector<u32> seconds;  // operand b or shift count (kUnary: one, ignored)
+  bool before_head = false;  // runs in place of the entry-carry setup
+};
+
+std::string Hex(u32 v) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "0x%X", v);
+  return buf;
+}
+
+std::string Mov(u32 v, const char* reg) { return "  mov $" + Hex(v) + ", %" + reg + "\n"; }
+
+std::string ProducerLines(const FlagProducer& p, u32 a, u32 b) {
+  const std::string op = std::string("  ") + p.op;
+  switch (p.form) {
+    case Form::kRegReg:
+      return Mov(a, "eax") + Mov(b, "ebx") + op + " %ebx, %eax\n";
+    case Form::kRegImm:
+      return Mov(a, "eax") + op + " $" + Hex(b) + ", %eax\n";
+    case Form::kUnary:
+      return Mov(a, "eax") + op + " %eax\n";
+    case Form::kFold:
+      return Mov(a - 1, "eax") + "  add $1, %eax\n" + op + " $" + Hex(b) + ", %eax\n";
+  }
+  return "";
+}
+
+TEST(TraceEngine, LazyFlagsExactAtEveryProducerEdgeAndCondition) {
+  const std::vector<u32> edges = {0, 1, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu};
+  const std::vector<u32> counts = {0, 1, 31};
+  const char* const kConditions[] = {"je",  "jne", "jb",  "jae", "jbe", "ja",
+                                     "jl",  "jge", "jle", "jg",  "js",  "jns"};
+  const char* const kFormNames[] = {"r,r", "r,i", "r", "fold"};
+  const FlagProducer producers[] = {
+      {"add", Form::kRegReg, edges},  {"add", Form::kRegImm, edges},
+      {"sub", Form::kRegReg, edges},  {"sub", Form::kRegImm, edges},
+      {"cmp", Form::kRegReg, edges},  {"cmp", Form::kRegImm, edges},
+      {"cmp", Form::kRegReg, edges, /*before_head=*/true},
+      {"and", Form::kRegReg, edges},  {"or", Form::kRegReg, edges},
+      {"xor", Form::kRegReg, edges},  {"test", Form::kRegReg, edges},
+      {"shl", Form::kRegImm, counts}, {"shr", Form::kRegImm, counts},
+      {"sar", Form::kRegImm, counts}, {"imul", Form::kRegReg, edges},
+      {"imul", Form::kRegImm, edges}, {"neg", Form::kUnary, {0}},
+      {"inc", Form::kUnary, {0}},     {"dec", Form::kUnary, {0}},
+      {"add", Form::kFold, edges},    {"sub", Form::kFold, edges},
+  };
+  for (const FlagProducer& p : producers) {
+    SCOPED_TRACE(std::string(p.op) + " " + kFormNames[static_cast<int>(p.form)] +
+                 (p.before_head ? " before the head" : ""));
+    const bool keeps_cf = std::string(p.op) == "inc" || std::string(p.op) == "dec";
+    std::string source = "  .global main\nmain:\n";
+    std::vector<std::string> cases;
+    const auto add_case = [&](u32 a, u32 b, const char* cond, bool cf_in) {
+      const std::string k = std::to_string(cases.size());
+      cases.push_back(std::string("a=") + Hex(a) + " b=" + Hex(b) + " " +
+                      (cond != nullptr ? cond : "unguarded") + " cf_in=" + (cf_in ? "1" : "0"));
+      // Aligned so that no case's loop straddles a page, which would keep
+      // it off the trace tier.
+      source += "  .align 256\nc" + k + ":\n  mov $c" + std::to_string(cases.size()) + ", %edi\n" +
+                Mov(kIdentityEnd - 32, "esi");
+      if (p.before_head) {
+        source += ProducerLines(p, a, b) + "l" + k + ":\n";
+      } else {
+        source += Mov(0, "eax") + "  cmp $" + (cf_in ? "1" : "0") + ", %eax\nl" + k + ":\n" +
+                  ProducerLines(p, a, b);
+      }
+      if (cond != nullptr) source += std::string("  ") + cond + " t" + k + "\n";
+      source += "b" + k + ":\n  ld8 0(%esi), %ecx\n  lea 1(%esi), %esi\n  jmp l" + k +
+                "\nt" + k + ":\n  jmp b" + k + "\n";
+    };
+    for (u32 a : edges) {
+      for (u32 b : p.seconds) {
+        for (const char* cond : kConditions) {
+          if (keeps_cf) {
+            add_case(a, b, cond, false);
+            add_case(a, b, cond, true);
+          } else {
+            add_case(a, b, cond, cases.size() % 2 != 0);
+          }
+        }
+        if (keeps_cf) {
+          add_case(a, b, nullptr, false);
+          add_case(a, b, nullptr, true);
+        }
+      }
+    }
+    source += "c" + std::to_string(cases.size()) + ":\n  hlt\n";
+
+    std::vector<TraceRunResult> on_faults, off_faults;
+    const TraceRunResult on = RunWithTrace(source, /*trace=*/true, 10'000'000, nullptr, &on_faults);
+    const TraceRunResult off =
+        RunWithTrace(source, /*trace=*/false, 10'000'000, nullptr, &off_faults);
+    EXPECT_EQ(on.stop.reason, StopReason::kHalted);
+    ExpectSameState(on, off);
+    ASSERT_EQ(on_faults.size(), cases.size());
+    ASSERT_EQ(off_faults.size(), cases.size());
+    u64 promotions = 0;
+    for (size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE(cases[i]);
+      EXPECT_EQ(on_faults[i].stop.fault.linear_address, kIdentityEnd);
+      ExpectSameState(on_faults[i], off_faults[i]);
+      EXPECT_GT(on_faults[i].trace.promotions, promotions) << "the case never ran in a trace";
+      promotions = on_faults[i].trace.promotions;
+    }
+  }
 }
 
 // The web worker's checksum loop is top-tested: `cmp; je` is one run and the
