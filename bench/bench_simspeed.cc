@@ -6,12 +6,13 @@
 // The simulator throughput benches run the same workload under each
 // execution engine so speedups are measured in-binary, paired, on the same
 // machine:
-//   trace   hot-trace tier (micro-op IR with lazy flags, pinned
-//           translations, constant folding) on top of the superblock
-//           engine — the default configuration
+//   trace   hot-trace tier (micro-op IR with lazy flags, inline TLB
+//           probes, constant folding) on top of the superblock engine —
+//           the default configuration
 //   block   superblock engine (decoded basic-block runs, threaded dispatch,
-//           block chaining) + D-TLB, trace tier off (PALLADIUM_NO_TRACE=1)
-//   insn    PR 2 per-instruction fast path (decode cache + D-TLB,
+//           block chaining) + data fast path, trace tier off
+//           (PALLADIUM_NO_TRACE=1)
+//   insn    per-instruction fast path (decode cache + data fast path,
 //           dispatched one instruction at a time; PALLADIUM_NO_BLOCKS=1)
 //   oracle  everything off: per-byte fetch + per-byte data path
 // All four appear in one BENCH_simspeed.json; `--engine
@@ -116,8 +117,8 @@ void RunThroughput(benchmark::State& state, const char* workload, Engine engine)
     state.counters["trace_uop_insns"] = benchmark::Counter(static_cast<double>(ts.uop_insns));
     state.counters["trace_flag_materializations"] =
         benchmark::Counter(static_cast<double>(ts.flag_materializations));
-    state.counters["trace_probes_elided"] =
-        benchmark::Counter(static_cast<double>(ts.probes_elided));
+    state.counters["trace_inline_accesses"] =
+        benchmark::Counter(static_cast<double>(ts.inline_accesses));
   }
 }
 

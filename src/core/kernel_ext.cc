@@ -194,7 +194,7 @@ void KernelExtensionManager::UnloadExtension(u32 ext_id) {
   }
   // Unmap and free every page of the segment. UnmapKernelPage evicts each
   // frame from every vCPU's decode cache (and trace tier) and the kernel-
-  // range PTE shootdown flushes all TLBs/D-TLBs, so no stale translation of
+  // range PTE shootdown flushes all TLBs, so no stale translation of
   // the dead image survives a reload at the same linear base.
   for (u32 off = 0; off < ext.span; off += kPageSize) {
     kernel_.UnmapKernelPage(ext.linear_base + off);

@@ -12,7 +12,7 @@ std::string PrepareStubSource(const TrampolineSlots& slots, u32 ext_arg_slot,
      << "prepare:\n"
      // pushl 0x4(%esp); popl ExtensionStack — copy the argument word. This
      // and the phantom-frame pushes below are ordinary data accesses, so the
-     // protection-domain crossing executes on the CPU's D-TLB fast path; the
+     // protection-domain crossing executes on the CPU's data fast path; the
      // cost of the crossing is the lret privilege transition, not paging.
      << "  ld 4(%esp), %eax\n"
      << "  st %eax, " << ext_arg_slot << "\n"

@@ -44,7 +44,7 @@ class DynamicLinker {
                                  std::string* diag);
 
   // Unmaps a loaded library: frees its pages (Kernel::UnmapArea evicts every
-  // frame from every vCPU's decode cache and shoots down the TLBs/D-TLBs) and
+  // frame from every vCPU's decode cache and shoots down the TLBs) and
   // drops its symbols from the process. The library's address range is NOT
   // reused by later loads (next_base_ only grows), so dangling pointers fault
   // instead of silently hitting a new image.

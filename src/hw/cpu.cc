@@ -42,6 +42,15 @@ Fault Ud(const char* detail) {
   return f;
 }
 
+// The PTE flags a live TLB entry must carry for the data fast path to serve
+// an access as is: at CPL 3 the U bit, plus W for a write; for a write at any
+// CPL a known-set D bit, so the hit owes the page table nothing. An access
+// without them takes DtlbTranslate, whose Translate raises the exact fault
+// or performs the dirty-bit update.
+constexpr u32 FastPathFlags(bool is_write, bool user) {
+  return (user ? kPteUser : 0) | (is_write ? kPteDirty | (user ? kPteWrite : 0) : 0);
+}
+
 }  // namespace
 
 // The opcode X-macro drives both dispatch paths; its order must mirror the
@@ -174,7 +183,9 @@ bool Cpu::Translate(u32 linear, bool is_write, u32* phys, Fault* fault, u32* fla
                     bool is_fetch) {
   const bool is_user = cpl_ == 3;
   u32 frame = 0, flags = 0;
-  if (tlb_.Lookup(linear, &frame, &flags)) {
+  if (Tlb::Entry* e = tlb_.Lookup(linear)) {
+    frame = e->frame;
+    flags = e->flags;
     // Permission check from the cached entry, as the hardware does.
     if (is_user && !(flags & kPteUser)) {
       Fault f;
@@ -197,12 +208,12 @@ bool Cpu::Translate(u32 linear, bool is_write, u32* phys, Fault* fault, u32* fla
     }
     // Dirty-bit update on a TLB-hit write, as the MMU performs it: the first
     // write through a translation cached by a read sets the PTE's D bit. The
-    // entry remembers known-set A/D bits so the PTE touch happens once, and
-    // the D-TLB fast path applies the identical rule — page-table images are
-    // byte-equal with the fast path on or off.
+    // entry remembers known-set A/D bits so the PTE touch happens once; the
+    // data fast path never writes through an entry without D, so it reaches
+    // this update too, and page-table images are byte-equal with it on or off.
     if (is_write && !(flags & kPteDirty)) {
       SetAccessedDirty(pm_, cr3_, linear, /*dirty=*/true);
-      tlb_.OrFlags(linear, kPteDirty);
+      e->flags |= kPteDirty;
       flags |= kPteDirty;
     }
   } else {
@@ -215,11 +226,7 @@ bool Cpu::Translate(u32 linear, bool is_write, u32* phys, Fault* fault, u32* fla
     SetAccessedDirty(pm_, cr3_, linear, is_write);
     // Record what the walk just made true of the PTE.
     wr.flags |= kPteAccessed | (is_write ? kPteDirty : 0);
-    const u32 evicted = tlb_.Insert(linear, wr.frame, wr.flags);
-    // A conflict eviction must propagate to the D-TLB so its entries stay a
-    // subset of live TLB entries (that subset property is what makes fast-
-    // path cycle counts identical to the per-byte path).
-    if (evicted != Tlb::kNoVpn) dtlb_.InvalidatePage(evicted, tlb_.change_count());
+    tlb_.Insert(linear, wr.frame, wr.flags, pm_.FrameHostPtr(wr.frame));
     frame = wr.frame;
     flags = wr.flags;
   }
@@ -229,72 +236,30 @@ bool Cpu::Translate(u32 linear, bool is_write, u32* phys, Fault* fault, u32* fla
 }
 
 int Cpu::DtlbTranslate(u32 linear, u32 size, bool is_write, u8** host, u32* phys, Fault* fault) {
-  const u32 vpn = PageNumber(linear);
-  const u32 off = linear & kPageMask;
-  DTlb::Entry* e = dtlb_.Lookup(vpn, tlb_.change_count());
-  if (e != nullptr) {
-    // Permission checks against the live CPL, bit-for-bit the checks (and
-    // faults) of Translate's TLB-hit path — a hit here implies the TLB still
-    // holds this translation, so the slow path would fault from that branch.
-    if (cpl_ == 3) {
-      if (!(e->flags & kPteUser)) {
-        tlb_.RecordFastPathHits(1);  // the per-byte path's byte-0 lookup hits, then faults
-        Fault f;
-        f.vector = FaultVector::kPageFault;
-        f.error_code = kPfErrPresent | (is_write ? kPfErrWrite : 0) | kPfErrUser;
-        f.linear_address = linear;
-        f.detail = "SPL 3 access to PPL 0 (supervisor) page";
-        *fault = f;
-        return -1;
-      }
-      if (is_write && !(e->flags & kPteWrite)) {
-        tlb_.RecordFastPathHits(1);
-        Fault f;
-        f.vector = FaultVector::kPageFault;
-        f.error_code = kPfErrPresent | kPfErrWrite | kPfErrUser;
-        f.linear_address = linear;
-        f.detail = "write to read-only page";
-        *fault = f;
-        return -1;
-      }
-    }
-    if (is_write && !(e->flags & kPteDirty)) {
-      SetAccessedDirty(pm_, cr3_, linear, /*dirty=*/true);
-      tlb_.OrFlags(linear, kPteDirty);
-      e->flags |= kPteDirty;
-    }
-    // The per-byte path would have performed `size` TLB lookups, all hits.
-    tlb_.RecordFastPathHits(size);
-    dtlb_.CountHit();
-    *host = e->host + off;
-    *phys = e->frame + off;
-    return 1;
-  }
-  dtlb_.CountMiss();
-  // Fill through one architectural translation: faults, tlb_miss_penalty
-  // charges, walk-side A/D updates and TLB stats land exactly as the
-  // per-byte path's first byte would produce them.
-  u32 p = 0, flags = 0;
-  if (!Translate(linear, is_write, &p, fault, &flags)) return -1;
-  u8* page = pm_.FrameHostPtr(p & ~kPageMask);
-  if (page == nullptr) {
-    // Frame straddles the end of memory: the caller finishes on the byte
-    // loop. Hand it byte 0's translation so it is not repeated (a repeat
-    // would record one extra TLB hit versus the per-byte oracle).
-    *phys = p;
-    return 0;
-  }
-  // Bytes 1..size-1 of the per-byte path would each hit the just-primed TLB.
+  // Counted as the lookup it stands for: a hit when a live entry with a host
+  // pointer was there (it only needed a dirty-bit update), a miss when not;
+  // a permission fault on a live entry counts as neither.
+  const bool cached = tlb_.Probe(linear, tlb_.generation()) != nullptr;
+  if (!cached) ++dtlb_stats_.misses;
+  // Byte 0's architectural translation: faults, tlb_miss_penalty charges,
+  // A/D updates and TLB stats land exactly as the per-byte path's first
+  // byte would produce them.
+  if (!Translate(linear, is_write, phys, fault)) return -1;
+  const Tlb::Entry* e = tlb_.Probe(linear, tlb_.generation());
+  // Frame straddles the end of memory: the caller finishes on the byte loop
+  // from byte 0's translation in *phys (a repeat would record one extra TLB
+  // hit versus the per-byte oracle).
+  if (e == nullptr) return 0;
+  // Bytes 1..size-1 of the per-byte path would each hit the entry.
   tlb_.RecordFastPathHits(size - 1);
-  dtlb_.Fill(vpn, p & ~kPageMask, flags, page, tlb_.change_count());
-  *host = page + off;
-  *phys = p;
+  if (cached) ++dtlb_stats_.hits;
+  *host = e->host + (linear & kPageMask);
   return 1;
 }
 
 bool Cpu::DtlbHostRead(u32 linear, void* dst, u32 len) {
   if (!dtlb_enabled_ || len == 0 || (linear & kPageMask) + len > kPageSize) return false;
-  DTlb::Entry* e = dtlb_.Lookup(PageNumber(linear), tlb_.change_count());
+  const Tlb::Entry* e = tlb_.Probe(linear, tlb_.generation());
   if (e == nullptr) return false;
   std::memcpy(dst, e->host + (linear & kPageMask), len);
   return true;
@@ -302,7 +267,7 @@ bool Cpu::DtlbHostRead(u32 linear, void* dst, u32 len) {
 
 bool Cpu::DtlbHostWrite(u32 linear, const void* src, u32 len) {
   if (!dtlb_enabled_ || len == 0 || (linear & kPageMask) + len > kPageSize) return false;
-  DTlb::Entry* e = dtlb_.Lookup(PageNumber(linear), tlb_.change_count());
+  const Tlb::Entry* e = tlb_.Probe(linear, tlb_.generation());
   if (e == nullptr) return false;
   const u32 off = linear & kPageMask;
   std::memcpy(e->host + off, src, len);
@@ -342,16 +307,16 @@ bool Cpu::MemRead(const LoadedSegment& seg, u32 offset, u32 size, bool is_stack,
                   Fault* fault) {
   if (!CheckSegmentAccess(seg, offset, size, /*is_write=*/false, is_stack, fault)) return false;
   u32 linear = seg.cache.base + offset;  // wraps mod 2^32 like the hardware
-  // Fast path: an access wholly inside one page reads straight off the
-  // D-TLB's host pointer. Page-straddling accesses keep the per-byte loop
+  // Fast path: an access wholly inside one page reads straight off the TLB
+  // entry's host pointer. Page-straddling accesses keep the per-byte loop
   // (its partial-access and mid-access-fault semantics are the contract).
   if (dtlb_enabled_ && size != 0 && (linear & kPageMask) + size <= kPageSize) {
-    // Common hit inlined here; permission faults, misses and fills take the
-    // out-of-line path, which re-probes and handles every case.
-    DTlb::Entry* e = dtlb_.Lookup(PageNumber(linear), tlb_.change_count());
-    if (e != nullptr && !(cpl_ == 3 && !(e->flags & kPteUser))) {
+    // Common hit inlined here; permission faults and misses take the
+    // out-of-line path, which translates and handles every case.
+    if (const Tlb::Entry* e =
+            tlb_.Probe(linear, tlb_.generation(), FastPathFlags(/*is_write=*/false, cpl_ == 3))) {
       tlb_.RecordFastPathHits(size);
-      dtlb_.CountHit();
+      ++dtlb_stats_.hits;
       const u8* host = e->host + (linear & kPageMask);
       // Fixed-width copies (little-endian host, like Read32); a runtime-size
       // memcpy would cost a libc call per load.
@@ -387,8 +352,8 @@ bool Cpu::MemRead(const LoadedSegment& seg, u32 offset, u32 size, bool is_stack,
       *out = value;
       return true;
     }
-    // r == 0: frame not host-mappable. Byte 0 was already translated by the
-    // fill attempt; consume it here so the TLB statistics stay equal to the
+    // r == 0: frame not host-mappable. Byte 0 was already translated by
+    // DtlbTranslate; consume it here so the TLB statistics stay equal to the
     // per-byte oracle, then finish on the byte loop.
     u8 b = 0;
     if (!pm_.Read8(phys, &b)) {
@@ -428,13 +393,12 @@ bool Cpu::MemWrite(const LoadedSegment& seg, u32 offset, u32 size, bool is_stack
   u32 linear = seg.cache.base + offset;
   if (dtlb_enabled_ && size != 0 && (linear & kPageMask) + size <= kPageSize) {
     // Inline hit path: needs write permission at the live CPL and a PTE
-    // whose D bit is known set; everything else (fault, dirty update, miss,
-    // fill) goes out of line and re-probes.
-    DTlb::Entry* e = dtlb_.Lookup(PageNumber(linear), tlb_.change_count());
-    if (e != nullptr && (e->flags & kPteDirty) &&
-        !(cpl_ == 3 && (~e->flags & (kPteUser | kPteWrite)) != 0)) {
+    // whose D bit is known set; everything else (fault, dirty update, miss)
+    // goes out of line.
+    if (const Tlb::Entry* e =
+            tlb_.Probe(linear, tlb_.generation(), FastPathFlags(/*is_write=*/true, cpl_ == 3))) {
       tlb_.RecordFastPathHits(size);
-      dtlb_.CountHit();
+      ++dtlb_stats_.hits;
       const u32 off = linear & kPageMask;
       u8* host = e->host + off;
       switch (size) {
@@ -453,7 +417,7 @@ bool Cpu::MemWrite(const LoadedSegment& seg, u32 offset, u32 size, bool is_stack
           std::memcpy(host, &value, size);
           break;
       }
-      // The write observer must see D-TLB-path stores too, or a store into
+      // The write observer must see fast-path stores too, or a store into
       // a decoded code page would execute stale instructions. On a
       // uniprocessor the sole observer is this CPU's own decode cache;
       // calling it directly keeps the probe inlinable. With multiple vCPUs
@@ -490,7 +454,7 @@ __attribute__((noinline)) bool Cpu::WriteBytesSlow(u32 linear, u32 size, u32 val
   // Bytes land one translation at a time, but the write observers hear of
   // each physically contiguous run once, after its last byte: a decode cache
   // judges the store by the bytes it leaves, never by a half-written slot,
-  // so this loop and the D-TLB's single copy reach the same decision.
+  // so this loop and the fast path's single copy reach the same decision.
   u32 run_begin = 0, run_len = 0;
   bool ok = true;
   for (u32 i = 0; i < size; ++i) {
@@ -573,6 +537,26 @@ bool Cpu::FetchFromSlot(u32 linear, const DecodedInsn** insn, Fault* fault) {
   return false;
 }
 
+bool Cpu::PinFetchPage(u32 linear, Fault* fault) {
+  const u32 vpn = PageNumber(linear);
+  if (fetch_page_ != nullptr && vpn == fetch_vpn_ && fetch_tlb_change_ == tlb_.change_count() &&
+      fetch_dcache_gen_ == dcache_.generation() && !(cpl_ == 3 && !(fetch_flags_ & kPteUser))) {
+    return true;
+  }
+  // Refill: one translation pins the whole page. A fault here carries the
+  // instruction's linear address, which is also the first byte's.
+  u32 phys = 0, flags = 0;
+  if (!Translate(linear, /*is_write=*/false, &phys, fault, &flags, /*is_fetch=*/true)) {
+    return false;
+  }
+  fetch_page_ = dcache_.GetOrBuild(phys & ~kPageMask);
+  fetch_vpn_ = vpn;
+  fetch_flags_ = flags;
+  fetch_tlb_change_ = tlb_.change_count();
+  fetch_dcache_gen_ = dcache_.generation();
+  return true;
+}
+
 bool Cpu::FetchInsn(const DecodedInsn** insn, Fault* fault) {
   const LoadedSegment& cs = segs_[static_cast<u8>(SegReg::kCs)];
   if (!CheckSegmentAccess(cs, eip_, kInsnSize, /*is_write=*/false, /*is_stack=*/false, fault)) {
@@ -583,25 +567,7 @@ bool Cpu::FetchInsn(const DecodedInsn** insn, Fault* fault) {
   // Fast path: slot-aligned fetches (kInsnSize divides kPageSize, so they
   // never cross a page) execute straight out of the decoded page image.
   if (engine_ != Engine::kOracle && (linear & (kInsnSize - 1)) == 0) {
-    const u32 vpn = PageNumber(linear);
-    if (fetch_page_ != nullptr && vpn == fetch_vpn_ &&
-        fetch_tlb_change_ == tlb_.change_count() &&
-        fetch_dcache_gen_ == dcache_.generation() &&
-        !(cpl_ == 3 && !(fetch_flags_ & kPteUser))) {
-      return FetchFromSlot(linear, insn, fault);
-    }
-    // Refill: one translation pins the whole page. A fault here carries the
-    // instruction's linear address, which is also the first byte's.
-    u32 phys = 0, flags = 0;
-    if (!Translate(linear, /*is_write=*/false, &phys, fault, &flags, /*is_fetch=*/true)) {
-      return false;
-    }
-    fetch_page_ = dcache_.GetOrBuild(phys & ~kPageMask);
-    fetch_vpn_ = vpn;
-    fetch_flags_ = flags;
-    fetch_tlb_change_ = tlb_.change_count();
-    fetch_dcache_gen_ = dcache_.generation();
-    return FetchFromSlot(linear, insn, fault);
+    return PinFetchPage(linear, fault) && FetchFromSlot(linear, insn, fault);
   }
 
   // Slow path: unaligned fetch (non-16-byte-aligned CS base), possibly
@@ -1349,26 +1315,11 @@ __attribute__((flatten)) Cpu::BlockExit Cpu::RunBlock(u64 cycle_limit, StopInfo*
     return BlockExit::kNoBlock;
   }
 
-  // Revalidate or refill the pinned decoded page — the same discipline, and
-  // the same single architectural Translate, as FetchInsn's fast path.
-  const u32 vpn = PageNumber(entry_linear);
-  if (!(fetch_page_ != nullptr && vpn == fetch_vpn_ &&
-        fetch_tlb_change_ == tlb_.change_count() &&
-        fetch_dcache_gen_ == dcache_.generation() &&
-        !(cpl_ == 3 && !(fetch_flags_ & kPteUser)))) {
-    u32 phys = 0, flags = 0;
-    Fault fault;
-    if (!Translate(entry_linear, /*is_write=*/false, &phys, &fault, &flags,
-                   /*is_fetch=*/true)) {
-      stop->reason = StopReason::kFault;
-      stop->fault = fault;
-      return BlockExit::kStopped;
-    }
-    fetch_page_ = dcache_.GetOrBuild(phys & ~kPageMask);
-    fetch_vpn_ = vpn;
-    fetch_flags_ = flags;
-    fetch_tlb_change_ = tlb_.change_count();
-    fetch_dcache_gen_ = dcache_.generation();
+  // Revalidate or refill the pinned decoded page — the same helper, and the
+  // same single architectural Translate, as FetchInsn's fast path.
+  if (!PinFetchPage(entry_linear, &stop->fault)) {
+    stop->reason = StopReason::kFault;
+    return BlockExit::kStopped;
   }
 
   DecodeCache::Page* const page = fetch_page_;
@@ -1476,7 +1427,7 @@ chain:
   if (dcache_.generation() != gen0) goto yield;
   {
     const u32 target = base + eip_;
-    if ((target & (kInsnSize - 1)) != 0 || PageNumber(target) != vpn) goto yield;
+    if ((target & (kInsnSize - 1)) != 0 || (target & ~kPageMask) != page_linear) goto yield;
     d = &page->slots[(target & kPageMask) / kInsnSize];
   }
   ++block_stats_.chains;
@@ -1555,28 +1506,6 @@ yield:
 #undef PALLADIUM_BLOCK_EXIT
 }
 
-namespace {
-
-// Refreshes a memory uop's pin from the D-TLB entry the access just used (or
-// left behind), so the next execution of this uop can skip the probe. Called
-// only on the fallback path; Lookup here has no statistics side effects.
-inline void RepinFromDtlb(TracePin& p, DTlb& dtlb, u64 tlb_change, u32 linear) {
-  const u32 vpn = PageNumber(linear);
-  DTlb::Entry* e = dtlb.Lookup(vpn, tlb_change);
-  if (e == nullptr) {
-    p.tlb_change = ~0ull;
-    return;
-  }
-  p.tlb_change = tlb_change;
-  p.dtlb_gen = dtlb.mutation_count();
-  p.vpn = vpn;
-  p.frame = e->frame;
-  p.flags = e->flags;
-  p.host = e->host;
-}
-
-}  // namespace
-
 // The hot-trace executor: retires iterations of one lowered loop until a
 // guard, the frontier, a fault or a generation change ends it. Every
 // architectural effect is identical to the block engine retiring the same
@@ -1591,11 +1520,11 @@ inline void RepinFromDtlb(TracePin& p, DTlb& dtlb, u64 tlb_change, u32 linear) {
 //    the exact per-instruction values. Dynamic cycle charges (TLB-miss
 //    penalties inside fallback accesses) accrue to cycles_ in place, which
 //    commutes with adding the base-cost sum.
-//  * Memory uops try their pin first (the elided probe); any failed
-//    validation — counter mismatch, page change, permissions, dirty bit —
-//    falls back to the full MemRead/MemWrite, i.e. the oracle itself, and
-//    re-pins from its D-TLB fill. TLB statistics on the pinned path are the
-//    charges of the D-TLB inline hit it replaces.
+//  * Memory uops probe the TLB inline, with MemRead/MemWrite's own
+//    permission rule and charges; anything the probe cannot serve — a miss,
+//    a segment-window or page-straddle miss, permissions, the dirty bit —
+//    falls back to the full MemRead/MemWrite, i.e. the oracle itself, whose
+//    translation leaves the entry the next execution hits.
 //  * After every uop that can touch simulated memory the decode-cache
 //    generation is re-checked, exactly where the block engine re-checks it,
 //    so self-modifying stores and SMP remote invalidations exit the trace at
@@ -1625,13 +1554,15 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 u
   Fault fault;
   const u32 entry_eip = t.entry_eip;  // == eip_: RunBlock's entry condition
   const u32 entry_slot = t.entry_slot;
-  // Loop-invariant CPU state: CPL and the D-TLB switch can only change at
-  // far transfers, which are never in a trace; TLB flushes are host-side and
-  // the host only runs between Run slices (same argument as RunBlock's
-  // frontier).
-  const bool user3 = cpl_ == 3;
-  const bool dtlb_on = dtlb_enabled_;
-  const u64 tlb_change = tlb_.change_count();
+  // Loop-invariant CPU state: CPL and the fast-path switch can only change
+  // at far transfers, which are never in a trace; TLB flushes are host-side
+  // and the host only runs between Run slices (same argument as RunBlock's
+  // frontier), so the TLB generation holds too. Every memory label probes
+  // against `fast_gen`, which with the fast path off is one no entry
+  // carries: the switch is tested on every access.
+  const u64 fast_gen = dtlb_enabled_ ? tlb_.generation() : Tlb::kNoGen;
+  const u32 rd_need = FastPathFlags(/*is_write=*/false, cpl_ == 3);
+  const u32 wr_need = FastPathFlags(/*is_write=*/true, cpl_ == 3);
   // Everything the hot path would otherwise read-modify-write through
   // `this` — cycle and instruction counters, TLB statistics, trace counters
   // — is batched in locals the compiler can keep in registers, because the
@@ -1642,20 +1573,13 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 u
   u64 cyc = cycles_;
   u64 insns = instructions_;
   const u64 insns0 = insns;
-  u64 tlb_hits = 0;   // batched Tlb::RecordFastPathHits bytes
-  u64 dtlb_hits = 0;  // batched DTlb::CountHit
-  u64 elided = 0;
+  u64 tlb_hits = 0;  // batched Tlb::RecordFastPathHits bytes
+  u64 inline_hits = 0;  // fast-path hits: one D-TLB hit and one inline access each
   u32 iters = 0;  // closing-edge loop-backs; each is another trace entry
   // Guest stores go through u8* and may alias anything the compiler cannot
-  // prove disjoint — including the pin vector's data pointer, the D-TLB
-  // statistics behind mutation_count(), and the observer registration — so
-  // without these register copies every memory uop re-loads them from
-  // memory. All three are loop-invariant (observers cannot change mid-run;
-  // the D-TLB generation only moves on our own fallback fills, after which
-  // the local is refreshed).
-  TracePin* const pins = t.pins.data();
+  // prove disjoint, so the observer registration (which cannot change
+  // mid-run) is copied to a register instead of re-loaded per store.
   const bool sole_dcache_observer = pm_.sole_write_observer() == &dcache_;
-  u64 dtlb_gen_live = dtlb_.mutation_count();
   // Per-segment fast-access windows: an access of `size` at `off` passes
   // CheckSegmentAccess iff off + size - 1 <= lim in signed 64-bit math,
   // where lim is the last legal byte offset (limit - 1: the limit is the
@@ -1696,8 +1620,8 @@ Cpu::TraceExit Cpu::ExecTrace(DecodeCache::Page* page, Trace& t, u64 gen0, u64 u
 #define PALLADIUM_TRACE_FLUSH_STATS()                   \
   do {                                                  \
     tlb_.RecordFastPathHits(tlb_hits);                  \
-    dtlb_.CountHits(dtlb_hits);                         \
-    trace_stats_.probes_elided += elided;               \
+    dtlb_stats_.hits += inline_hits;                    \
+    trace_stats_.inline_accesses += inline_hits;        \
     ++trace_stats_.calls;                               \
     trace_stats_.entries += 1 + iters;                  \
     trace_stats_.uop_insns += instructions_ - insns0;   \
@@ -1897,27 +1821,21 @@ u_load: {
   if (u->r2 != kNoBaseReg) off += regs_[u->r2];
   if (u->scale != 0) off += regs_[u->r3] * u->scale;
   const u32 linear = seg_base[u->seg_idx] + off;
-  TracePin& p = pins[u->pin];
+  const Tlb::Entry* e = tlb_.Probe(linear, fast_gen, rd_need);
   u32 value;
   // The segment-window compare stands in for CheckSegmentAccess on the fast
   // path; any access outside it (including through an invalid or
   // execute-only segment) falls back to MemRead, which redoes the
   // architectural check and raises the exact fault.
-  if (__builtin_expect(dtlb_on && u->size != 0 &&
+  if (__builtin_expect(e != nullptr && u->size != 0 &&
                            static_cast<i64>(off) + u->size - 1 <=
                                seg_rd_lim[u->seg_idx] &&
-                           (linear & kPageMask) + u->size <= kPageSize &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) &&
-                           !(user3 && !(p.flags & kPteUser)),
+                           (linear & kPageMask) + u->size <= kPageSize,
                        1)) {
-    // Probe elided: a live pin IS the live D-TLB entry, so the charges are
-    // exactly the inline hit's (batched; flushed at trace exit).
+    // MemRead's inline hit, with its charges batched (flushed at trace exit).
     tlb_hits += u->size;
-    ++dtlb_hits;
-    ++elided;
-    const u8* host = p.host + (linear & kPageMask);
+    ++inline_hits;
+    const u8* host = e->host + (linear & kPageMask);
     switch (u->size) {
       case 1:
         value = *host;
@@ -1942,11 +1860,9 @@ u_load: {
     const bool ok =
         MemRead(segs_[u->seg_idx], off, u->size, u->is_stack, &value, &fault);
     PALLADIUM_TRACE_SYNC_IN();  // walk penalties charged before a fault too
-    dtlb_gen_live = dtlb_.mutation_count();
     if (!ok) goto fault_exit;
-    RepinFromDtlb(p, dtlb_, tlb_change, linear);
     // The fallback's walk can retire decoded code (A/D updates inside a
-    // decoded page) — the block engine's re-check. The pinned path reads
+    // decoded page) — the block engine's re-check. The inline path reads
     // host memory and nothing else, so it provably cannot move the
     // generation and skips the check.
     regs_[static_cast<u8>(Reg::kEsp)] += static_cast<u32>(static_cast<i32>(u->esp_post));
@@ -1966,23 +1882,18 @@ u_load4: {  // kLoad, size 4, no ESP adjustment — the common mov-load
   if (u->r2 != kNoBaseReg) off += regs_[u->r2];
   if (u->scale != 0) off += regs_[u->r3] * u->scale;
   const u32 linear = seg_base[u->seg_idx] + off;
-  const TracePin& p = pins[u->pin];
-  if (__builtin_expect(static_cast<i64>(off) <= seg_rd_end4[u->seg_idx] &&
-                           (linear & kPageMask) <= kPageSize - 4 &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) &&
-                           !(user3 && !(p.flags & kPteUser)),
+  const Tlb::Entry* e = tlb_.Probe(linear, fast_gen, rd_need);
+  if (__builtin_expect(e != nullptr && static_cast<i64>(off) <= seg_rd_end4[u->seg_idx] &&
+                           (linear & kPageMask) <= kPageSize - 4,
                        1)) {
     tlb_hits += 4;
-    ++dtlb_hits;
-    ++elided;
+    ++inline_hits;
     u32 value;
-    std::memcpy(&value, p.host + (linear & kPageMask), 4);
+    std::memcpy(&value, e->host + (linear & kPageMask), 4);
     regs_[u->r1] = value;
     PALLADIUM_UOP_NEXT();
   }
-  goto u_load;  // window or pin miss: the generic path faults / refills exactly
+  goto u_load;  // window or TLB miss: the generic path faults / refills exactly
 }
 
 u_load1: {  // kLoad, size 1, no ESP adjustment — byte loops
@@ -1990,18 +1901,12 @@ u_load1: {  // kLoad, size 1, no ESP adjustment — byte loops
   if (u->r2 != kNoBaseReg) off += regs_[u->r2];
   if (u->scale != 0) off += regs_[u->r3] * u->scale;
   const u32 linear = seg_base[u->seg_idx] + off;
-  const TracePin& p = pins[u->pin];
+  const Tlb::Entry* e = tlb_.Probe(linear, fast_gen, rd_need);
   // One byte never straddles a page: unlike u_load4, no page-offset check.
-  if (__builtin_expect(static_cast<i64>(off) <= seg_rd_lim[u->seg_idx] &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) &&
-                           !(user3 && !(p.flags & kPteUser)),
-                       1)) {
+  if (__builtin_expect(e != nullptr && static_cast<i64>(off) <= seg_rd_lim[u->seg_idx], 1)) {
     tlb_hits += 1;
-    ++dtlb_hits;
-    ++elided;
-    regs_[u->r1] = p.host[linear & kPageMask];
+    ++inline_hits;
+    regs_[u->r1] = e->host[linear & kPageMask];
     PALLADIUM_UOP_NEXT();
   }
   goto u_load;
@@ -2010,19 +1915,14 @@ u_load1: {  // kLoad, size 1, no ESP adjustment — byte loops
 u_pop4: {  // kLoad, size 4, ESP += 4 after the access
   const u32 off = regs_[u->r2];  // pop EA is SS:ESP, no disp/index
   const u32 linear = seg_base[u->seg_idx] + off;
-  const TracePin& p = pins[u->pin];
-  if (__builtin_expect(static_cast<i64>(off) <= seg_rd_end4[u->seg_idx] &&
-                           (linear & kPageMask) <= kPageSize - 4 &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) &&
-                           !(user3 && !(p.flags & kPteUser)),
+  const Tlb::Entry* e = tlb_.Probe(linear, fast_gen, rd_need);
+  if (__builtin_expect(e != nullptr && static_cast<i64>(off) <= seg_rd_end4[u->seg_idx] &&
+                           (linear & kPageMask) <= kPageSize - 4,
                        1)) {
     tlb_hits += 4;
-    ++dtlb_hits;
-    ++elided;
+    ++inline_hits;
     u32 value;
-    std::memcpy(&value, p.host + (linear & kPageMask), 4);
+    std::memcpy(&value, e->host + (linear & kPageMask), 4);
     regs_[static_cast<u8>(Reg::kEsp)] += 4;  // before the write: pop %esp
     regs_[u->r1] = value;
     PALLADIUM_UOP_NEXT();
@@ -2038,20 +1938,15 @@ u_pushi4:
 store4_push: {  // kStore/kStoreI, size 4, ESP -= 4 after the access
   const u32 off = regs_[u->r2] + static_cast<u32>(u->disp);  // SS:ESP-4
   const u32 linear = seg_base[u->seg_idx] + off;
-  const TracePin& p = pins[u->pin];
-  if (__builtin_expect(static_cast<i64>(off) + 3 <= seg_wr_lim[u->seg_idx] &&
-                           (linear & kPageMask) <= kPageSize - 4 &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) && (p.flags & kPteDirty) &&
-                           !(user3 && (~p.flags & (kPteUser | kPteWrite)) != 0),
+  const Tlb::Entry* e = tlb_.Probe(linear, fast_gen, wr_need);
+  if (__builtin_expect(e != nullptr && static_cast<i64>(off) + 3 <= seg_wr_lim[u->seg_idx] &&
+                           (linear & kPageMask) <= kPageSize - 4,
                        1)) {
     tlb_hits += 4;
-    ++dtlb_hits;
-    ++elided;
+    ++inline_hits;
     const u32 poff = linear & kPageMask;
-    std::memcpy(p.host + poff, &sval, 4);
-    const u32 phys = p.frame + poff;
+    std::memcpy(e->host + poff, &sval, 4);
+    const u32 phys = e->frame + poff;
     regs_[static_cast<u8>(Reg::kEsp)] -= 4;
     if (sole_dcache_observer) {
       const u32 pfn = PageNumber(phys);
@@ -2078,20 +1973,15 @@ store4_plain: {  // kStore/kStoreI, size 4, no ESP adjustment
   if (u->r2 != kNoBaseReg) off += regs_[u->r2];
   if (u->scale != 0) off += regs_[u->r3] * u->scale;
   const u32 linear = seg_base[u->seg_idx] + off;
-  const TracePin& p = pins[u->pin];
-  if (__builtin_expect(static_cast<i64>(off) + 3 <= seg_wr_lim[u->seg_idx] &&
-                           (linear & kPageMask) <= kPageSize - 4 &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) && (p.flags & kPteDirty) &&
-                           !(user3 && (~p.flags & (kPteUser | kPteWrite)) != 0),
+  const Tlb::Entry* e = tlb_.Probe(linear, fast_gen, wr_need);
+  if (__builtin_expect(e != nullptr && static_cast<i64>(off) + 3 <= seg_wr_lim[u->seg_idx] &&
+                           (linear & kPageMask) <= kPageSize - 4,
                        1)) {
     tlb_hits += 4;
-    ++dtlb_hits;
-    ++elided;
+    ++inline_hits;
     const u32 poff = linear & kPageMask;
-    std::memcpy(p.host + poff, &sval, 4);
-    const u32 phys = p.frame + poff;
+    std::memcpy(e->host + poff, &sval, 4);
+    const u32 phys = e->frame + poff;
     if (sole_dcache_observer) {
       const u32 pfn = PageNumber(phys);
       if (__builtin_expect(pfn < has_code_pages && has_code[pfn] != 0, 0)) {
@@ -2117,21 +2007,16 @@ store_common: {
   if (u->r2 != kNoBaseReg) off += regs_[u->r2];
   if (u->scale != 0) off += regs_[u->r3] * u->scale;
   const u32 linear = seg_base[u->seg_idx] + off;
-  TracePin& p = pins[u->pin];
-  if (__builtin_expect(dtlb_on && u->size != 0 &&
+  const Tlb::Entry* e = tlb_.Probe(linear, fast_gen, wr_need);
+  if (__builtin_expect(e != nullptr && u->size != 0 &&
                            static_cast<i64>(off) + u->size - 1 <=
                                seg_wr_lim[u->seg_idx] &&
-                           (linear & kPageMask) + u->size <= kPageSize &&
-                           p.tlb_change == tlb_change &&
-                           p.dtlb_gen == dtlb_gen_live &&
-                           p.vpn == PageNumber(linear) && (p.flags & kPteDirty) &&
-                           !(user3 && (~p.flags & (kPteUser | kPteWrite)) != 0),
+                           (linear & kPageMask) + u->size <= kPageSize,
                        1)) {
     tlb_hits += u->size;
-    ++dtlb_hits;
-    ++elided;
+    ++inline_hits;
     const u32 poff = linear & kPageMask;
-    u8* host = p.host + poff;
+    u8* host = e->host + poff;
     switch (u->size) {
       case 1:
         *host = static_cast<u8>(sval);
@@ -2148,8 +2033,8 @@ store_common: {
         std::memcpy(host, &sval, u->size);
         break;
     }
-    const u32 phys = p.frame + poff;
-    // Pin guarantees the access stays on one page, so a single has-code
+    const u32 phys = e->frame + poff;
+    // The access stays on one page (checked above), so a single has-code
     // probe decides whether the write could retire decoded code; a clear
     // byte proves the generation cannot have moved.
     if (sole_dcache_observer) {
@@ -2176,9 +2061,7 @@ store_common: {
     const bool ok =
         MemWrite(segs_[u->seg_idx], off, u->size, u->is_stack, sval, &fault);
     PALLADIUM_TRACE_SYNC_IN();
-    dtlb_gen_live = dtlb_.mutation_count();
     if (!ok) goto fault_exit;
-    RepinFromDtlb(p, dtlb_, tlb_change, linear);
     regs_[static_cast<u8>(Reg::kEsp)] +=
         static_cast<u32>(static_cast<i32>(u->esp_post));
     if (dcache_.generation() != gen0) goto gen_exit;
@@ -2195,7 +2078,6 @@ u_exec: {
   PALLADIUM_TRACE_SYNC_OUT();
   const ES st = kExecFns[d.dispatch](*this, d, ctx);
   PALLADIUM_TRACE_SYNC_IN();
-  dtlb_gen_live = dtlb_.mutation_count();
   refresh_seg_windows();  // segment moves live here
   if (st == ES::kFault) {
     fault = ctx.fault;

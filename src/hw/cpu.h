@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/hw/cycle_model.h"
-#include "src/hw/dtlb.h"
 #include "src/hw/fault.h"
 #include "src/hw/physical_memory.h"
 #include "src/hw/segment.h"
@@ -43,7 +42,7 @@ struct StopInfo {
 // below it: blocks execute out of decoded pages, and traces are entered from
 // block dispatch. Each tier is the next one's differential oracle — the
 // architectural results (registers, memory, cycle counts, fault, interrupt
-// and arch-event streams) are identical under all four. The D-TLB data path
+// and arch-event streams) are identical under all four. The data fast path
 // is an orthogonal switch (Cpu::set_dtlb_enabled).
 enum class Engine : u8 {
   kOracle,  // per-byte fetch and re-decode of every instruction
@@ -162,25 +161,33 @@ class Cpu {
     u64 entries = 0;                // iterations begun: each call adds 1 + loop-backs
     u64 uop_insns = 0;              // instructions retired inside traces
     u64 flag_materializations = 0;  // lazy EFLAGS computed at an exit
-    u64 probes_elided = 0;          // D-TLB probes answered by a live pin
+    u64 inline_accesses = 0;        // memory accesses answered without a call-out
   };
   const TraceStats& trace_stats() const { return trace_stats_; }
 
-  DTlb& dtlb() { return dtlb_; }
-  const DTlb::Stats& dtlb_stats() const { return dtlb_.stats(); }
+  // Data fast path ("D-TLB") observability. A hit is an access served through
+  // a live TLB entry's host pointer (after the dirty-bit update, if the
+  // entry needed one); a miss found no such entry and fell back to
+  // Translate. An access that faults on a live entry counts as neither.
+  struct DtlbStats {
+    u64 hits = 0;
+    u64 misses = 0;
+  };
+  const DtlbStats& dtlb_stats() const { return dtlb_stats_; }
   // Disables the data-access fast path (every load/store/push/pop goes back
-  // to the per-byte translate loop), under any engine. The slow path is the
-  // differential oracle: architectural state, memory image, cycle counts and
-  // fault streams are identical either way.
+  // to the per-byte translate loop), under any engine. The TLB entries keep
+  // their host pointers either way; only their use is switched. The slow
+  // path is the differential oracle: architectural state, memory image,
+  // cycle counts and fault streams are identical either way.
   void set_dtlb_enabled(bool enabled) { dtlb_enabled_ = enabled; }
   bool dtlb_enabled() const { return dtlb_enabled_; }
 
-  // Host-side (kernel) copies through the D-TLB: probe-only supervisor
-  // access to one page's worth of current-address-space memory. Never fills,
-  // never charges cycles, never faults — returns false on a miss (or when
-  // the span leaves the page / the fast path is disabled) and the caller
-  // falls back to its page-table walk. Writes fire the physical-memory
-  // write observer exactly like PhysicalMemory::WriteBlock.
+  // Host-side (kernel) copies through the TLB's host pointers: probe-only
+  // supervisor access to one page's worth of current-address-space memory.
+  // Never fills, never charges cycles or statistics, never faults — returns
+  // false on a miss (or when the span leaves the page / the fast path is
+  // disabled) and the caller falls back to its page-table walk. Writes fire
+  // the physical-memory write observer exactly like PhysicalMemory::WriteBlock.
   bool DtlbHostRead(u32 linear, void* dst, u32 len);
   bool DtlbHostWrite(u32 linear, const void* src, u32 len);
   const CycleModel& cycle_model() const { return model_; }
@@ -314,15 +321,17 @@ class Cpu {
   bool Translate(u32 linear, bool is_write, u32* phys, Fault* fault,
                  u32* flags_out = nullptr, bool is_fetch = false);
 
-  // Data-access fast path. Translates an access wholly inside one page
-  // through the D-TLB, filling it from Translate on a miss. Returns
+  // The data fast path's out-of-line half, for an access wholly inside one
+  // page that the inline TLB probe could not serve (miss, permission fault,
+  // dirty-bit update): one architectural Translate of byte 0, then the
+  // entry's host pointer. Returns
   //   +1 hit  — *host/*phys point at the access; writes must NotifyWrite
-  //    0 miss — not cacheable (disabled, partial frame): take the byte loop
+  //    0 miss — frame not wholly in physical memory: take the byte loop
   //   -1 fault — *fault filled exactly as the per-byte path would
   int DtlbTranslate(u32 linear, u32 size, bool is_write, u8** host, u32* phys, Fault* fault);
 
   // The per-byte access loops (page-crossing semantics, bus errors). A
-  // caller that already translated byte 0 — the D-TLB fill path whose frame
+  // caller that already translated byte 0 — DtlbTranslate, when the frame
   // turned out not host-mappable — hands it over so it is not repeated,
   // keeping TLB statistics equal to a pure per-byte run: reads resume at
   // `start` = 1 with byte 0 already in `*value`, writes take byte 0's
@@ -351,6 +360,10 @@ class Cpu {
   // owned by the CPU (a decode-cache slot or fetch_scratch_) that stays
   // valid for the duration of the current instruction.
   bool FetchInsn(const DecodedInsn** insn, Fault* fault);
+  // Points the one-entry fetch TLB at the decoded page holding `linear`:
+  // keeps the pinned page while its tags are live, else refills it with one
+  // architectural Translate (whose fault lands in *fault).
+  bool PinFetchPage(u32 linear, Fault* fault);
   bool FetchFromSlot(u32 linear, const DecodedInsn** insn, Fault* fault);
   Fault FetchBusFault(u32 linear) const;
 
@@ -392,9 +405,8 @@ class Cpu {
   u32 obs_track_ = 0;
 
   // --- Data access fast path -------------------------------------------------
-  // Host-pointer pages keyed by linear page, validated against the TLB's
-  // change counter (see dtlb.h for the full invalidation contract).
-  DTlb dtlb_;
+  // Served from the TLB entries' host pointers (see tlb.h).
+  DtlbStats dtlb_stats_;
   bool dtlb_enabled_ = true;
 
   // --- Instruction fetch fast path -----------------------------------------

@@ -4,8 +4,8 @@
 // retire boundaries.
 //
 // Determinism contract: every device event is keyed off the CPU's *cycle
-// counter*, which every Engine and the D-TLB keep byte-identical to the
-// per-byte oracle. The CPU consults the hub only between retired
+// counter*, which every Engine and the data fast path keep byte-identical to
+// the per-byte oracle. The CPU consults the hub only between retired
 // instructions, so interrupt delivery points — and therefore every
 // downstream architectural effect — are identical in all eight engine ×
 // D-TLB modes.

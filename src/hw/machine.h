@@ -3,7 +3,7 @@
 //
 // SMP model: all vCPUs share PhysicalMemory, the GDT and the IDT (as on a
 // real SMP x86 with a shared descriptor-table image); each vCPU owns its
-// architectural registers, TLB, D-TLB, decode cache and fetch TLB. The
+// architectural registers, TLB, decode cache and fetch TLB. The
 // machine tracks a "current" vCPU index — the core whose trap the host-side
 // kernel is presently servicing — so host code written against the
 // uniprocessor `cpu()` accessor transparently operates on the trapping core.

@@ -5,7 +5,7 @@
 //
 //   PALLADIUM_NO_BLOCKS  engine kInsn (per-instruction dispatch)
 //   PALLADIUM_NO_TRACE   engine kBlock (superblocks, no hot-trace tier)
-//   PALLADIUM_NO_DTLB    per-byte data path instead of the D-TLB
+//   PALLADIUM_NO_DTLB    per-byte data path instead of inline TLB hits
 //   PALLADIUM_NO_NAPI    IRQ-per-frame dataplane (src/net/dataplane.h)
 //   PALLADIUM_SMP        vCPU count for machines that do not pin one
 //

@@ -10,9 +10,9 @@
 // overshoots by more than the one instruction the per-instruction path would
 // also retire — the resulting schedule is a deterministic retire-boundary
 // interleave: a pure function of program + initial state, independent of
-// host timing, and — because every Engine and the D-TLB keep per-CPU cycle
-// counters byte-identical to the per-byte oracle — identical in all eight
-// engine × D-TLB modes. That is what makes SMP runs differential-testable
+// host timing, and — because every Engine and the data fast path keep
+// per-CPU cycle counters byte-identical to the per-byte oracle — identical in
+// all eight engine × D-TLB modes. That is what makes SMP runs differential-testable
 // with the same oracle discipline as the uniprocessor
 // (tests/cpu_property_test.cc, tests/smp_test.cc).
 //

@@ -1,11 +1,10 @@
 // Lowering from a hot run head's loop to the micro-op IR (see uop.h for the
 // tier's contract and formation rules). The pass is purely syntactic: it
 // walks the block engine's run decomposition of the path, folds
-// add/sub-immediate chains, turns conditional branches into guards, assigns
-// each memory uop a pin slot, computes the per-iteration prefix sums the
-// executor needs to reconstruct exact cycles/instruction counts at any exit,
-// and runs the backward flags-liveness scan that decides which ALU uops must
-// record their operands.
+// add/sub-immediate chains, turns conditional branches into guards, computes
+// the per-iteration prefix sums the executor needs to reconstruct exact
+// cycles/instruction counts at any exit, and runs the backward flags-liveness
+// scan that decides which ALU uops must record their operands.
 #include "src/isa/uop.h"
 
 #include "src/isa/decode_cache.h"
@@ -91,7 +90,7 @@ bool IsFoldable(Opcode op) {
 // when one follows, bounded by `end` — into one uop. Fills everything but
 // the path bookkeeping (slot, prefix sums); `span` and `cost` cover the
 // whole chain.
-Uop LowerStraight(const DecodedInsn* slots, u32 s, u32 end, u32* num_pins) {
+Uop LowerStraight(const DecodedInsn* slots, u32 s, u32 end) {
   const DecodedInsn& d = slots[s];
   const Insn& in = d.insn;
   Uop u;
@@ -176,12 +175,11 @@ Uop LowerStraight(const DecodedInsn* slots, u32 s, u32 end, u32* num_pins) {
         u.is_stack = d.is_stack;
         u.imm = in.imm;
         u.disp = in.disp;
-        u.pin = static_cast<u16>((*num_pins)++);
         break;
       // Push/pop are fixed-shape stack accesses (Cpu::Push32/Pop32): a
       // 4-byte store at SS:ESP-4 / load at SS:ESP, with the ESP move
-      // committed only on success. Lowering them to pinned memory uops
-      // (instead of kExec) puts the hottest stack page behind a pin.
+      // committed only on success. Lowering them to memory uops (instead of
+      // kExec) serves the hottest stack page from the inline TLB probe.
       case Opcode::kPushR:
       case Opcode::kPushI:
         u.kind = in.opcode == Opcode::kPushR ? UopKind::kStore : UopKind::kStoreI;
@@ -194,7 +192,6 @@ Uop LowerStraight(const DecodedInsn* slots, u32 s, u32 end, u32* num_pins) {
         u.imm = in.imm;
         u.disp = -4;
         u.esp_post = -4;
-        u.pin = static_cast<u16>((*num_pins)++);
         break;
       case Opcode::kPopR:
         u.kind = UopKind::kLoad;
@@ -206,7 +203,6 @@ Uop LowerStraight(const DecodedInsn* slots, u32 s, u32 end, u32* num_pins) {
         u.is_stack = true;
         u.disp = 0;
         u.esp_post = 4;
-        u.pin = static_cast<u16>((*num_pins)++);
         break;
       default:
         // Everything else (segment moves, udiv) runs through the shared
@@ -242,7 +238,6 @@ std::unique_ptr<Trace> LowerLoop(const DecodedInsn* slots, u32 entry_slot, u32 e
   u32 insn_before = 0;
   u32 cost_before = 0;
   u32 cost_max = 0;
-  u32 num_pins = 0;
   u32 lo = entry_slot;
   u32 hi = entry_slot;
   u32 s = entry_slot;
@@ -263,7 +258,7 @@ std::unique_ptr<Trace> LowerLoop(const DecodedInsn* slots, u32 entry_slot, u32 e
     // Straight-line members; the final slot too when the run was capped.
     const u32 body_end = term ? last : last + 1;
     for (u32 j = s; j < body_end;) {
-      Uop u = LowerStraight(slots, j, body_end, &num_pins);
+      Uop u = LowerStraight(slots, j, body_end);
       u.slot = static_cast<u16>(j);
       u.insn_before = static_cast<u16>(insn_before);
       u.cost_before = cost_before;
@@ -339,7 +334,6 @@ std::unique_ptr<Trace> LowerLoop(const DecodedInsn* slots, u32 entry_slot, u32 e
   t->iter_insns = insn_before;
   t->iter_cost = cost_before;
   t->cost_max = cost_max;
-  t->pins.resize(num_pins);
 
   // Backward flags liveness. At the closing edge flags are observable (the
   // next iteration may fault or exit before writing them); a guard reads

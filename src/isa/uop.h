@@ -33,7 +33,7 @@
 // guard, frontier, fault, generation change — reconstructs exact EIP, cycles
 // and instruction counts from per-uop prefix sums and slots.
 //
-// The lowering pass performs the three optimisations of this tier:
+// The lowering pass performs the two optimisations of this tier:
 //
 //  * Lazy flags: ALU uops do not compute EFLAGS. The last flag-producing op
 //    records its result and its CF (ADD and SUB also their first operand) in
@@ -44,12 +44,6 @@
 //    cache and switch on the operation only for OF. A static liveness pass
 //    additionally marks flag writes that are provably overwritten before any
 //    observer so they record nothing at all.
-//  * Redundant-translation elimination: each memory uop carries a persistent
-//    pin of its last translation (host pointer + PTE flags), revalidated by
-//    three counter compares instead of the D-TLB probe-and-permission walk.
-//    The pin is provably the live D-TLB entry (no TLB change, no fill or
-//    eviction since pin time), so cycles and TLB statistics are charged
-//    exactly as the oracle's hit path would charge them.
 //  * Constant folding: chains of add/sub-immediate on one register collapse
 //    into a single uop that retires the whole chain's instructions and
 //    cycles at once and records the *last* op's operands for the flags.
@@ -183,7 +177,8 @@ enum class UopKind : u8 {
   // `span` instructions; flags are the last op's (imm2 = delta before the
   // last op, disp = the last op's immediate, fold_last_is_sub its kind).
   kFold,
-  // Memory; pin indexes Trace::pins. Push/pop lower to these kinds too:
+  // Memory, served inline from the TLB entry's host pointer when it hits
+  // (see Cpu::ExecTrace). Push/pop lower to these kinds too:
   // PUSH r/i is a store at SS:ESP-4 and POP r a load at SS:ESP, with
   // esp_post applying the stack-pointer move after a successful access
   // (the fault path leaves ESP untouched, exactly like Push32/Pop32).
@@ -231,7 +226,6 @@ struct Uop {
   bool fold_last_is_sub = false;  // kFold: last op of the chain was SubRI
   i8 esp_post = 0;                // push/pop: ESP += this after a successful access
   u8 span = 1;                    // instructions this uop retires (folds, fused guards > 1)
-  u16 pin = 0;                    // memory uops: index into Trace::pins
   u16 slot = 0;                   // source slot in the decoded page (first, when span > 1)
   u16 insn_before = 0;            // instructions retired earlier in the iteration
   u32 cost = 0;                   // base retire cost (summed over a fold)
@@ -242,28 +236,12 @@ struct Uop {
   u32 cost2 = 0;                  // guards: the exiting edge's total charge
 };
 
-// A pinned translation: one memory uop's last successful D-TLB entry. Live
-// iff nothing that could have killed or replaced the entry happened since —
-// the TLB change counter (CR3 loads, INVLPG, PTE edits) and the D-TLB
-// mutation counter (fills, conflict evictions) both still match. Liveness
-// implies the oracle's probe would hit this same entry, so the pinned path
-// may skip the probe while charging identical statistics.
-struct TracePin {
-  u64 tlb_change = ~0ull;
-  u64 dtlb_gen = ~0ull;
-  u32 vpn = 0;
-  u32 frame = 0;
-  u32 flags = 0;
-  u8* host = nullptr;
-};
-
 // A lowered hot loop: one iteration's uops, ending at the closing edge back
 // to the entry. Owned by the decoded page it was built from (see
 // DecodeCache::Page::traces); dies with the page on any invalidation.
 struct Trace {
   std::vector<Uop> uops;
   bool threaded = false;  // uop targets filled in by the executor
-  std::vector<TracePin> pins;
   u32 entry_eip = 0;   // the EIP lowered at; internal edges resolve against it
   u16 entry_slot = 0;
   u32 iter_insns = 0;  // instructions one full iteration retires

@@ -46,7 +46,7 @@ inline constexpr u32 kIrqTimer = 0;  // interval timer (scheduler + watchdog), p
 // below the timer in priority and above every device line, matching the
 // "IPIs outrank device interrupts" convention: a pending TLB shootdown must
 // not wait behind NIC servicing on the target core.
-inline constexpr u32 kIrqIpiShootdown = 1;  // TLB/D-TLB shootdown ack (vector 0x21)
+inline constexpr u32 kIrqIpiShootdown = 1;  // TLB shootdown ack (vector 0x21)
 inline constexpr u32 kIrqIpiResched = 2;    // reschedule kick (vector 0x22)
 inline constexpr u32 kIrqNic = 5;    // network interface RX (per-queue: owning core)
 // TX-completion line: the NIC latches it when descriptor DMA finishes (one

@@ -134,7 +134,8 @@ void Kernel::SendIpi(u32 target_cpu, u32 ipi_irq) {
 
 void Kernel::ShootdownPage(u32 cr3, u32 linear) {
   // Local INVLPG, exactly the uniprocessor behavior (flushing the TLB page
-  // bumps change_count, killing the D-TLB and fetch fast path).
+  // kills the data fast path's entry and, through change_count, the fetch
+  // fast path).
   const u32 cur_cpu = machine_.current_cpu_index();
   machine_.cpu(cur_cpu).tlb().FlushPage(linear);
   if (machine_.num_cpus() == 1) return;
@@ -314,9 +315,9 @@ bool Kernel::CopyToUser(Process& proc, u32 linear, const void* src, u32 len) {
   while (len > 0) {
     u32 page_off = linear & kPageMask;
     u32 chunk = std::min(len, kPageSize - page_off);
-    // Fast path: pages the simulated CPU touched recently sit in its D-TLB
-    // with a validated host pointer; a hit replaces the page-table walk.
-    // Only valid for the live address space (the D-TLB caches cpu.cr3()).
+    // Fast path: pages the simulated CPU touched recently sit in its TLB
+    // with a host pointer; a hit replaces the page-table walk. Only valid
+    // for the live address space (the TLB caches cpu.cr3()).
     if (current_space && cpu().DtlbHostWrite(linear, p, chunk)) {
       linear += chunk;
       p += chunk;
@@ -393,7 +394,7 @@ bool Kernel::WriteKernelVirt(u32 linear, const void* src, u32 len) {
   while (len > 0) {
     u32 off = linear & kPageMask;
     u32 chunk = std::min(len, kPageSize - off);
-    // Kernel mappings are shared by every address space, so any live D-TLB
+    // Kernel mappings are shared by every address space, so any live TLB
     // entry for a kernel-range page (extension segments, trampoline argument
     // slots the extension just touched) is valid here regardless of which
     // CR3 primed it. User-range addresses must keep walking the template
@@ -1193,8 +1194,11 @@ void Kernel::SysMprotect(u32 addr, u32 len, u32 prot) {
   }
   const u32 start = PageAlignDown(addr);
   const u32 end = PageAlignUp(addr + len);
+  // Exactly one whole area, munmap's rule: an area has one protection, and
+  // demand paging maps every later page of it with that one, so a range
+  // covering part of an area cannot be honoured.
   VmArea* area = proc.FindArea(start);
-  if (area == nullptr || end > area->end) {
+  if (area == nullptr || start != area->start || end != area->end) {
     ReturnFromGate(kErrInval);
     return;
   }

@@ -119,7 +119,7 @@ class Kernel {
   // process (kernel mappings are shared). Returns the frame, 0 on OOM.
   u32 MapKernelPage(u32 linear, bool user_bit = false);
   // Undoes MapKernelPage: evicts the frame from every vCPU's decode cache,
-  // unmaps the shared kernel PTE (shooting down all TLBs/D-TLBs) and frees
+  // unmaps the shared kernel PTE (shooting down all TLBs) and frees
   // the frame. Returns false if the page was not mapped.
   bool UnmapKernelPage(u32 linear);
   // The kernel-only page directory (valid CR3 when no process is current).
@@ -171,10 +171,11 @@ class Kernel {
   // for shared kernel-range mappings) before the edit returns. The remote
   // cost is modelled by a shootdown IPI raised on each such CPU's local
   // PIC: the target core takes the interrupt at its next retire boundary
-  // and pays gate + dispatch cycles. Flushing the hardware TLB page bumps
-  // Tlb::change_count(), which kills the target's D-TLB and decoded-page
-  // fetch TLB in O(1) — so no stale data or instruction fast path survives
-  // a remote PTE edit, with or without the fast paths enabled.
+  // and pays gate + dispatch cycles. Flushing the TLB page kills the
+  // target's data fast path with it (that path is the TLB's own entries) and
+  // bumps Tlb::change_count(), which kills its decoded-page fetch TLB in
+  // O(1) — so no stale data or instruction fast path survives a remote PTE
+  // edit, with or without the fast paths enabled.
   struct SmpStats {
     u64 shootdown_pages = 0;  // PTE edits that broadcast remote invalidations
     u64 shootdown_ipis = 0;   // shootdown IPIs raised on remote cores

@@ -193,7 +193,7 @@ bool PacketDataplane::UpgradeFlow(const std::string& name, const std::string& fi
   flow->has_batch = cf->has_batch;
   flow->batch_stride = cf->batch_stride;
   // Retire the old image: pages unmapped and freed, decode/trace entries
-  // evicted on every vCPU, TLBs/D-TLBs shot down, region reusable.
+  // evicted on every vCPU, TLBs shot down, region reusable.
   kext_.UnloadExtension(old_ext);
   ++stats_.flow_upgrades;
   return true;

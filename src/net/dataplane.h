@@ -203,7 +203,7 @@ class PacketDataplane {
   // (versioned name, so both images coexist for the swap), atomically points
   // the flow's classification at the new function ids, then unloads the old
   // image — whose pages are unmapped, decode-cache/trace entries evicted and
-  // TLB/D-TLB entries shot down. In-flight frames are never dropped: the
+  // TLB entries shot down. In-flight frames are never dropped: the
   // swap happens between classification runs (host code), so every frame is
   // classified by exactly one version. Must not be called from inside a
   // filter invocation. Only valid for flows created by AddFlow (which own

@@ -42,7 +42,7 @@ void MetricsRegistry::CollectCpu(const Cpu& cpu, u32 index) {
   Counter(p + "trace.uop_insns", cpu.trace_stats().uop_insns);
   Counter(p + "trace.flag_materializations",
           cpu.trace_stats().flag_materializations);
-  Counter(p + "trace.probes_elided", cpu.trace_stats().probes_elided);
+  Counter(p + "trace.inline_accesses", cpu.trace_stats().inline_accesses);
 }
 
 void MetricsRegistry::CollectSched(const Scheduler& sched, u32 num_cpus) {

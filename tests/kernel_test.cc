@@ -163,6 +163,81 @@ main:
   EXPECT_EQ(r.exit_code, 55);
 }
 
+// Maps two pages with `prot0`, touches the first with `touch` (an assembly
+// line, or nothing), mprotects `mp_len` bytes from the start to `prot1`, runs
+// `after`, and exits with mprotect's result.
+std::string MprotectProgram(u32 prot0, const std::string& touch, u32 mp_len, u32 prot1,
+                            const std::string& after) {
+  return R"(
+  .global main
+main:
+  mov $SYS_MMAP, %eax
+  mov $0, %ebx
+  mov $0x2000, %ecx
+  mov $)" + std::to_string(prot0) + R"(, %edx
+  int $INT_SYSCALL
+  mov %eax, %esi
+)" + touch + R"(
+  mov $SYS_MPROTECT, %eax
+  mov %esi, %ebx
+  mov $)" + std::to_string(mp_len) + R"(, %ecx
+  mov $)" + std::to_string(prot1) + R"(, %edx
+  int $INT_SYSCALL
+  mov %eax, %edi
+)" + after + R"(
+  mov $SYS_EXIT, %eax
+  mov %edi, %ebx
+  int $INT_SYSCALL
+)";
+}
+
+RunResult RunMprotect(const std::string& source) {
+  KernelFixture fx;
+  std::string diag;
+  Pid pid = fx.LoadProgram(source, &diag);
+  EXPECT_NE(pid, 0u) << diag;
+  return pid != 0 ? fx.Run(pid) : RunResult{};
+}
+
+// An area carries one protection, which demand paging gives every page it
+// maps later, so mprotect of part of an area is refused: making only the
+// first of two read-only pages writable must leave a store into the untouched
+// second page faulting.
+TEST(KernelMemory, MprotectOfPartOfAnAreaIsRefused) {
+  RunResult r = RunMprotect(MprotectProgram(kProtRead, "", 0x1000, kProtRead | kProtWrite, ""));
+  EXPECT_EQ(r.outcome, RunOutcome::kExited);
+  EXPECT_EQ(r.exit_code, static_cast<i32>(kErrInval));
+
+  r = RunMprotect(MprotectProgram(kProtRead, "", 0x1000, kProtRead | kProtWrite,
+                                  "  sti $1, 0x1000(%esi)"));
+  EXPECT_EQ(r.outcome, RunOutcome::kKilled) << "the area stayed read-only";
+  EXPECT_NE(r.kill_reason.find("#PF"), std::string::npos);
+}
+
+// Whole area, read-only to writable: the page a read already mapped has its
+// PTE rewritten, the other is demand-paged writable, and both stores land.
+TEST(KernelMemory, MprotectWholeAreaMakesItWritable) {
+  const RunResult r = RunMprotect(MprotectProgram(kProtRead, "  ld 0(%esi), %eax", 0x2000,
+                                                  kProtRead | kProtWrite, R"(
+  sti $20, 0(%esi)
+  sti $22, 0x1000(%esi)
+  ld 0(%esi), %eax
+  ld 0x1000(%esi), %edx
+  add %eax, %edi
+  add %edx, %edi)"));
+  EXPECT_EQ(r.outcome, RunOutcome::kExited);
+  EXPECT_EQ(r.exit_code, 42) << "mprotect returns 0, then 20 + 22";
+}
+
+// Whole area, writable to read-only: the page a store already mapped (and
+// the TLB already holds) has its PTE rewritten, so the next store faults.
+TEST(KernelMemory, MprotectWholeAreaMakesMappedPagesReadOnly) {
+  const RunResult r = RunMprotect(MprotectProgram(kProtRead | kProtWrite, "  sti $7, 0(%esi)",
+                                                  0x2000, kProtRead, "  sti $8, 0(%esi)"));
+  EXPECT_EQ(r.outcome, RunOutcome::kKilled);
+  EXPECT_NE(r.kill_reason.find("#PF"), std::string::npos);
+}
+
 TEST(KernelMemory, WildAccessKillsProcess) {
   KernelFixture fx;
   std::string diag;

@@ -5,11 +5,11 @@
 // store executing *inside* the hot trace, and an SMP remote store retiring
 // the trace's page mid-loop — plus lazy-flags exactness at a fault boundary
 // and at every flag producer's operand edges under all 12 guard conditions,
-// the memory labels' segment windows and pin checks (byte and dword accesses
-// at a segment limit, a pinned PPL 0 page after a drop to CPL 3, pins made
-// stale by a PTE edit or CR3 reload), cycle-limit slicing, the flight
-// recorder's engine events, and the RuntimeConfig table that maps every env
-// switch to an engine setting.
+// the memory labels' segment windows and inline TLB probes (byte and dword
+// accesses at a segment limit, a PPL 0 page's live entry after a drop to
+// CPL 3, entries killed by a PTE edit or CR3 reload, both fast-path
+// settings), cycle-limit slicing, the flight recorder's engine events, and
+// the RuntimeConfig table that maps every env switch to an engine setting.
 // Everywhere, the block engine with the tier disabled is the in-binary
 // differential oracle: registers, memory, cycles, TLB statistics, fault
 // streams must be byte-identical with the tier on or off.
@@ -42,7 +42,6 @@ struct TraceRunResult {
   u64 tlb_misses = 0;
   u64 dtlb_hits = 0;
   u64 dtlb_misses = 0;
-  bool dtlb_enabled = false;
   Cpu::TraceStats trace;
 };
 
@@ -56,7 +55,6 @@ TraceRunResult Capture(const StopInfo& stop, const Cpu& cpu) {
   r.tlb_misses = cpu.tlb_stats().misses;
   r.dtlb_hits = cpu.dtlb_stats().hits;
   r.dtlb_misses = cpu.dtlb_stats().misses;
-  r.dtlb_enabled = cpu.dtlb_enabled();
   r.trace = cpu.trace_stats();
   return r;
 }
@@ -120,43 +118,6 @@ loop:
   jne loop
   hlt
 )";
-
-// A hot loop is promoted to a micro-op trace, runs nearly all of its
-// instructions there, answers its data translations from pins, and keeps
-// flags lazy across iterations — while staying byte-identical with the
-// block-engine oracle, TLB statistics included.
-TEST(TraceEngine, HotLoopPromotesAndElidesProbes) {
-  TraceRunResult on = RunWithTrace(kHotMemLoop, /*trace=*/true);
-  TraceRunResult off = RunWithTrace(kHotMemLoop, /*trace=*/false);
-  EXPECT_EQ(on.stop.reason, StopReason::kHalted);
-  ExpectSameState(on, off);
-
-  EXPECT_GE(on.trace.promotions, 1u) << "the loop must have been lowered";
-  EXPECT_GE(on.trace.entries, 900u) << "nearly every iteration should enter the trace";
-  EXPECT_GT(on.trace.uop_insns, on.instructions / 2)
-      << "most instructions should retire as micro-ops";
-  // Probe elision rides on D-TLB pins; under the PALLADIUM_NO_DTLB oracle
-  // every trace memory access takes the full probe path instead, so the
-  // counter must stay at zero there (state and cycles above are already
-  // asserted identical either way).
-  if (on.dtlb_enabled) {
-    EXPECT_GT(on.trace.probes_elided, 3000u)
-        << "pinned translations should answer the loop's memory accesses";
-  } else {
-    EXPECT_EQ(on.trace.probes_elided, 0u)
-        << "without the D-TLB there are no pins to elide probes with";
-  }
-  EXPECT_GE(on.trace.flag_materializations, 1u);
-  // Lazy flags: materializations must be rare relative to trace entries —
-  // the whole point is NOT computing EFLAGS per iteration.
-  EXPECT_LT(on.trace.flag_materializations, on.trace.entries / 4)
-      << "flags should stay lazy across in-trace loop iterations";
-
-  EXPECT_EQ(off.trace.promotions, 0u);
-  EXPECT_EQ(off.trace.entries, 0u);
-  EXPECT_EQ(off.trace.uop_insns, 0u);
-  EXPECT_EQ(off.trace.probes_elided, 0u);
-}
 
 // Below the hotness threshold nothing is lowered: a short-lived loop runs
 // entirely in the block engine.
@@ -599,18 +560,19 @@ loop:
 }
 
 // The trace tier's memory labels against their oracle: one loop under
-// kTrace and under kBlock, the D-TLB on in both (its pins are what the
-// labels elide probes with), over a page of known bytes at kByteData. Every
-// Run slices both machines at the same cycle limit and checks they agree on
-// the stop, the architectural state and the TLB and D-TLB statistics.
+// kTrace and under kBlock, the data fast path set alike in both (on unless
+// asked otherwise: the labels' inline TLB probes are its trace half), over a
+// page of known bytes at kByteData. Every Run slices both machines at the
+// same cycle limit and checks they agree on the stop, the architectural
+// state and the TLB and D-TLB statistics.
 class TraceOraclePair {
  public:
-  explicit TraceOraclePair(const std::string& source) {
+  explicit TraceOraclePair(const std::string& source, bool dtlb = true) {
     std::vector<u8> bytes(kPageSize);
     for (u32 i = 0; i < kPageSize; ++i) bytes[i] = static_cast<u8>(i * 7 + 3);
     for (BareMachine* bm : {&on_, &off_}) {
       bm->cpu().set_engine(bm == &on_ ? Engine::kTrace : Engine::kBlock);
-      bm->cpu().set_dtlb_enabled(true);
+      bm->cpu().set_dtlb_enabled(dtlb);
       std::string diag;
       auto img = bm->LoadProgram(source, kCodeBase, &diag);
       EXPECT_TRUE(img.has_value()) << diag;
@@ -640,10 +602,55 @@ class TraceOraclePair {
   }
 
   const Cpu& traced() { return on_.cpu(); }
+  const Cpu& oracle() { return off_.cpu(); }
 
  private:
   BareMachine on_, off_;
 };
+
+// A hot loop is promoted to a micro-op trace, runs nearly all of its
+// instructions there, serves its data accesses inline from the TLB, and
+// keeps flags lazy across iterations — byte-identical with the block-engine
+// oracle, TLB and D-TLB statistics included. Both fast-path settings run
+// whatever the environment says: with it off, every memory label (the 4-byte
+// load, store, push and pop of kHotMemLoop, the byte load of ByteSumLoop)
+// must test the switch itself and serve nothing inline.
+TEST(TraceEngine, HotLoopPromotesAndAccessesMemoryInline) {
+  const struct {
+    std::string source;
+    u64 min_inline;  // inline accesses expected with the fast path on
+  } loops[] = {{kHotMemLoop, 3000}, {ByteSumLoop(kByteData, 1000), 900}};
+  for (const auto& loop : loops) {
+    for (bool dtlb : {true, false}) {
+      SCOPED_TRACE(std::string(dtlb ? "fast path on: " : "fast path off: ") + loop.source);
+      TraceOraclePair pair(loop.source, dtlb);
+      ASSERT_EQ(pair.Run(10'000'000).reason, StopReason::kHalted);
+      const Cpu::TraceStats& on = pair.traced().trace_stats();
+      EXPECT_GE(on.promotions, 1u) << "the loop must have been lowered";
+      EXPECT_GE(on.entries, 900u) << "nearly every iteration should enter the trace";
+      EXPECT_GT(on.uop_insns, pair.traced().instructions_retired() / 2)
+          << "most instructions should retire as micro-ops";
+      if (dtlb) {
+        EXPECT_GT(on.inline_accesses, loop.min_inline)
+            << "the TLB should serve the loop's memory accesses inline";
+      } else {
+        EXPECT_EQ(on.inline_accesses, 0u) << "a memory label skipped the fast-path switch";
+        EXPECT_EQ(pair.traced().dtlb_stats().hits, 0u);
+      }
+      EXPECT_GE(on.flag_materializations, 1u);
+      // Lazy flags: materializations must be rare relative to trace entries
+      // — the whole point is NOT computing EFLAGS per iteration.
+      EXPECT_LT(on.flag_materializations, on.entries / 4)
+          << "flags should stay lazy across in-trace loop iterations";
+
+      const Cpu::TraceStats& off = pair.oracle().trace_stats();
+      EXPECT_EQ(off.promotions, 0u);
+      EXPECT_EQ(off.entries, 0u);
+      EXPECT_EQ(off.uop_insns, 0u);
+      EXPECT_EQ(off.inline_accesses, 0u);
+    }
+  }
+}
 
 // The loop reads the last byte of a 300-byte data segment, then faults with
 // #GP at the same `ld8` one byte past it: the label's window compare admits
@@ -665,7 +672,7 @@ TEST(TraceEngine, ByteLoadFaultsOneBytePastItsSegment) {
   for (u32 i = 0; i < kLimit; ++i) sum += static_cast<u8>(i * 7 + 3);
   EXPECT_EQ(pair.traced().reg(Reg::kEdx), sum) << "the segment's last byte was read";
   EXPECT_GE(pair.traced().trace_stats().promotions, 1u);
-  EXPECT_GT(pair.traced().trace_stats().probes_elided, 200u);
+  EXPECT_GT(pair.traced().trace_stats().inline_accesses, 200u);
 }
 
 // The 4-byte load and store labels against a 303-byte data segment: the
@@ -699,15 +706,16 @@ loop:
     ASSERT_EQ(stop.reason, StopReason::kFault);
     EXPECT_EQ(stop.fault.vector, FaultVector::kGeneralProtection);
     EXPECT_EQ(pair.traced().reg(Reg::kEsi), 300u);
-    EXPECT_GT(pair.traced().trace_stats().probes_elided, 50u);
+    EXPECT_GT(pair.traced().trace_stats().inline_accesses, 50u);
   }
 }
 
-// The loop runs at CPL 0 over a PPL 0 page long enough to pin it, then the
-// host drops the vCPU to CPL 3 at the loop head (no TLB change). The pin is
-// still live, but the label's privilege check must refuse it: the trace's
-// next `ld8` takes the generic path and raises the user-mode #PF.
-TEST(TraceEngine, ByteLoadPinRefusesPpl0PageAtCpl3) {
+// The loop runs at CPL 0 over a PPL 0 page long enough to serve it inline,
+// then the host drops the vCPU to CPL 3 at the loop head (no TLB change).
+// The page's entry is still live, but the label's privilege check must
+// refuse it: the trace's next `ld8` takes the generic path and raises the
+// user-mode #PF.
+TEST(TraceEngine, ByteLoadRefusesLivePpl0EntryAtCpl3) {
   TraceOraclePair pair(ByteSumLoop(kByteData, 1000));
   pair.Both([](BareMachine& bm) {
     PageTableEditor ed(bm.pm(), bm.cpu().cr3(),
@@ -716,8 +724,8 @@ TEST(TraceEngine, ByteLoadPinRefusesPpl0PageAtCpl3) {
   });
   ASSERT_EQ(pair.Run(3'000).reason, StopReason::kCycleLimit);
   pair.StepTo(kByteLoopHead);
-  const u64 elided = pair.traced().trace_stats().probes_elided;
-  EXPECT_GT(elided, 100u) << "the PPL 0 page must be pinned before the drop";
+  const u64 inline_before = pair.traced().trace_stats().inline_accesses;
+  EXPECT_GT(inline_before, 100u) << "the PPL 0 page must be served inline before the drop";
   pair.Both([](BareMachine& bm) {
     ASSERT_TRUE(bm.cpu().ForceSegment(SegReg::kCs, BareMachine::CodeSelector(3)));
     for (SegReg sr : {SegReg::kSs, SegReg::kDs, SegReg::kEs}) {
@@ -729,23 +737,23 @@ TEST(TraceEngine, ByteLoadPinRefusesPpl0PageAtCpl3) {
   EXPECT_EQ(stop.fault.vector, FaultVector::kPageFault);
   EXPECT_EQ(stop.fault.error_code, kPfErrPresent | kPfErrUser);
   EXPECT_EQ(stop.fault.linear_address, pair.traced().reg(Reg::kEsi));
-  EXPECT_EQ(pair.traced().trace_stats().probes_elided, elided);
+  EXPECT_EQ(pair.traced().trace_stats().inline_accesses, inline_before);
 }
 
 // Between two slices, at the loop head, the host remaps the loop's data page
-// to another frame (a PTE edit with its INVLPG) or reloads CR3. Either bumps
-// the TLB change count, so the label's pin is stale: the next `ld8` refills
-// through the walk — reading the new frame after a remap — and re-pins,
-// after which probes are elided again.
-TEST(TraceEngine, ByteLoadPinGoesStaleBetweenSlices) {
+// to another frame (a PTE edit with its INVLPG) or reloads CR3. Either kills
+// the page's TLB entry: the next `ld8` misses, refills through the walk —
+// reading the new frame after a remap — and the loop is served inline
+// again from the new entry.
+TEST(TraceEngine, ByteLoadEntryGoesStaleBetweenSlices) {
   constexpr u32 kAltFrame = 0x30000;
   for (bool remap : {true, false}) {
     SCOPED_TRACE(remap ? "PTE edit" : "CR3 reload");
     TraceOraclePair pair(ByteSumLoop(kByteData, 1000));
     ASSERT_EQ(pair.Run(3'000).reason, StopReason::kCycleLimit);
     pair.StepTo(kByteLoopHead);
-    const u64 elided = pair.traced().trace_stats().probes_elided;
-    EXPECT_GT(elided, 100u);
+    const u64 inline_before = pair.traced().trace_stats().inline_accesses;
+    EXPECT_GT(inline_before, 100u);
     pair.Both([&](BareMachine& bm) {
       if (remap) {
         const std::vector<u8> ones(kPageSize, 1);
@@ -760,8 +768,8 @@ TEST(TraceEngine, ByteLoadPinGoesStaleBetweenSlices) {
     const u32 left = pair.traced().reg(Reg::kEcx);
     const u32 edx = pair.traced().reg(Reg::kEdx);
     ASSERT_EQ(pair.Run(10'000'000).reason, StopReason::kHalted);
-    EXPECT_GT(pair.traced().trace_stats().probes_elided, elided + left / 2)
-        << "the refilled pin must elide the rest of the loop's probes";
+    EXPECT_GT(pair.traced().trace_stats().inline_accesses, inline_before + left / 2)
+        << "the refilled entry must serve the rest of the loop inline";
     if (remap) {
       EXPECT_EQ(pair.traced().reg(Reg::kEdx), edx + left) << "the rest came from the new frame";
     }

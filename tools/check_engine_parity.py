@@ -12,6 +12,12 @@ engine's own `cpuN.trace.*` / `cpuN.block.*` bookkeeping, differs.
       cp build/e2e/results/smoke-*.json off/
   python3 tools/check_engine_parity.py on/ off/
 
+The data fast path is a host-side accelerator too, and the same tool checks
+it on and off (PALLADIUM_NO_DTLB=1): when the two files' provenance shows
+the switch set differently, the fast path's own `cpuN.dtlb.*` counters are
+left out as well. Runs with the same setting keep comparing them, so the
+engine legs still hold the D-TLB counters equal across engines.
+
 Exit status: 0 when every file pair agrees, 1 on any difference or a missing
 file.
 """
@@ -25,6 +31,15 @@ import sys
 # Counters that describe the execution engine itself and legitimately differ
 # between tiers.
 ENGINE_COUNTER = re.compile(r"^cpu\d+\.(trace|block)\.")
+# The data fast path's own counters, which differ only with its switch.
+DTLB_COUNTER = re.compile(r"^cpu\d+\.dtlb\.")
+
+
+def dtlb_enabled(result):
+    """The fast-path switch a run had: PALLADIUM_NO_DTLB unset, empty or "0"
+    leaves it on (RuntimeConfig's rule for every boolean switch)."""
+    value = result.get("provenance", {}).get("env", {}).get("PALLADIUM_NO_DTLB")
+    return value in (None, "", "0")
 
 
 def load(directory):
@@ -35,14 +50,14 @@ def load(directory):
     return results
 
 
-def simulated_view(result):
+def simulated_view(result, skip_dtlb):
     """Every value the parity contract covers, keyed by a printable name."""
     view = {}
     for name, metric in result.get("metrics", {}).items():
         if name.startswith("sim_"):
             view["metric " + name] = metric.get("value")
     for name, value in result.get("counters", {}).items():
-        if not ENGINE_COUNTER.match(name):
+        if not ENGINE_COUNTER.match(name) and not (skip_dtlb and DTLB_COUNTER.match(name)):
             view["counter " + name] = value
     return view
 
@@ -61,7 +76,8 @@ def main(argv):
             print("%s: present in only one directory" % name)
             failures += 1
             continue
-        va, vb = simulated_view(a[name]), simulated_view(b[name])
+        skip_dtlb = dtlb_enabled(a[name]) != dtlb_enabled(b[name])
+        va, vb = simulated_view(a[name], skip_dtlb), simulated_view(b[name], skip_dtlb)
         diffs = [k for k in sorted(set(va) | set(vb)) if va.get(k) != vb.get(k)]
         for k in diffs:
             print("%s: %s differs: %r vs %r" % (name, k, va.get(k), vb.get(k)))
