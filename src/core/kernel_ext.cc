@@ -284,18 +284,6 @@ KernelExtensionManager::InvokeResult KernelExtensionManager::Invoke(u32 function
     cpu.tss().esp[0] = idle_stack_top_;
   }
 
-  auto restore = [&] {
-    invoke_cycles_ += cpu.cycles() - start_cycles;
-    cpu.RestoreContext(saved);
-    if (saved_cr3 != cpu.cr3() && saved_cr3 != 0) cpu.LoadCr3(saved_cr3);
-    cpu.tss() = saved_tss;
-    if (rec != nullptr) {
-      rec->Record(obs_cpu, cpu.cycles(), obs::EventType::kCrossingExit,
-                  obs::EventClass::kArch, function_id, result.ok ? 1u : 0u);
-    }
-    kernel_.ProfileRestore(prev_cat);
-  };
-
   // Kernel-side Prepare: enter the extension segment at SPL 1 with the
   // argument on the extension stack (Figure 4, step 5).
   cpu.ForceSegment(SegReg::kCs, Selector(ext.code_selector));
@@ -319,72 +307,63 @@ KernelExtensionManager::InvokeResult KernelExtensionManager::Invoke(u32 function
   // a generous backstop (timer granularity is the real detector) otherwise.
   const u64 deadline = cpu.cycles() + (kernel_.interrupts_enabled() ? ext.cycle_limit * 16
                                                                     : ext.cycle_limit);
+  // Run until the extension returns through the kernel return gate (an
+  // empty abort reason) or must be aborted.
+  std::string abort_reason;
   for (;;) {
     kernel_.ProfileSet(obs::Category::kFilterBody);
-    StopInfo stop = cpu.Run(deadline);
+    const StopInfo stop = cpu.Run(deadline);
     kernel_.ProfileSet(obs::Category::kCrossing);
-    switch (stop.reason) {
-      case StopReason::kHostCall:
-        if (stop.host_call_id >= kHostEntryIrqBase &&
-            stop.host_call_id < kHostEntryIrqBase + kNumIrqVectors) {
-          const u32 irq = stop.host_call_id - kHostEntryIrqBase;
-          // Kernel context is not preemptible: service the device, then
-          // apply the extension watchdog on the timer line.
-          kernel_.HandleIrqFromGate(irq, /*in_kernel_context=*/true);
-          if (irq == kIrqTimer && cpu.cycles() - start_cycles > ext.cycle_limit) {
-            result = Abort(ext, "extension exceeded its CPU-time limit (timer watchdog)",
-                           kernel_.costs().kext_gp_processing);
-            result.cycles = cpu.cycles() - start_cycles;
-            restore();
-            return result;
-          }
-          continue;
+    if (stop.reason == StopReason::kHostCall) {
+      const u32 id = stop.host_call_id;
+      if (id >= kHostEntryIrqBase && id < kHostEntryIrqBase + kNumIrqVectors) {
+        const u32 irq = id - kHostEntryIrqBase;
+        // Kernel context is not preemptible: service the device, then
+        // apply the extension watchdog on the timer line.
+        kernel_.HandleIrqFromGate(irq, /*in_kernel_context=*/true);
+        if (irq == kIrqTimer && cpu.cycles() - start_cycles > ext.cycle_limit) {
+          abort_reason = "extension exceeded its CPU-time limit (timer watchdog)";
+          break;
         }
-        if (stop.host_call_id == kHostEntryKextReturn) {
-          result.ok = true;
-          result.value = cpu.reg(Reg::kEax);
-          result.cycles = cpu.cycles() - start_cycles;
-          restore();
-          return result;
-        }
-        if (stop.host_call_id == kHostEntryKernelService) {
-          service_ext_ = fn.ext_id;
-          HandleKernelService();
-          continue;
-        }
-        if (stop.host_call_id == kHostEntrySyscall) {
-          // Kernel extensions cannot make arbitrary system calls (Section
-          // 4.1): treat as a protection violation and abort.
-          result = Abort(ext, "extension attempted a system call",
-                         kernel_.costs().kext_gp_processing);
-          result.cycles = cpu.cycles() - start_cycles;
-          restore();
-          return result;
-        }
-        result = Abort(ext, "extension reached an unknown kernel entry",
-                       kernel_.costs().kext_gp_processing);
-        result.cycles = cpu.cycles() - start_cycles;
-        restore();
-        return result;
-      case StopReason::kFault:
-        result = Abort(ext, "extension fault: " + FaultToString(stop.fault),
-                       kernel_.costs().kext_gp_processing);
-        result.cycles = cpu.cycles() - start_cycles;
-        restore();
-        return result;
-      case StopReason::kCycleLimit:
-        result = Abort(ext, "extension exceeded its CPU-time limit",
-                       kernel_.costs().kext_gp_processing);
-        result.cycles = cpu.cycles() - start_cycles;
-        restore();
-        return result;
-      case StopReason::kHalted:
-        result = Abort(ext, "extension executed hlt", kernel_.costs().kext_gp_processing);
-        result.cycles = cpu.cycles() - start_cycles;
-        restore();
-        return result;
+        continue;
+      }
+      if (id == kHostEntryKernelService) {
+        service_ext_ = fn.ext_id;
+        HandleKernelService();
+        continue;
+      }
+      if (id == kHostEntryKextReturn) break;
+      // Kernel extensions cannot make arbitrary system calls (Section 4.1):
+      // treat one as a protection violation and abort.
+      abort_reason = id == kHostEntrySyscall ? "extension attempted a system call"
+                                             : "extension reached an unknown kernel entry";
+    } else if (stop.reason == StopReason::kFault) {
+      abort_reason = "extension fault: " + FaultToString(stop.fault);
+    } else if (stop.reason == StopReason::kCycleLimit) {
+      abort_reason = "extension exceeded its CPU-time limit";
+    } else {
+      abort_reason = "extension executed hlt";
     }
+    break;
   }
+
+  if (abort_reason.empty()) {
+    result.ok = true;
+    result.value = cpu.reg(Reg::kEax);
+  } else {
+    result = Abort(ext, abort_reason, kernel_.costs().kext_gp_processing);
+  }
+  result.cycles = cpu.cycles() - start_cycles;
+  invoke_cycles_ += result.cycles;
+  cpu.RestoreContext(saved);
+  if (saved_cr3 != cpu.cr3() && saved_cr3 != 0) cpu.LoadCr3(saved_cr3);
+  cpu.tss() = saved_tss;
+  if (rec != nullptr) {
+    rec->Record(obs_cpu, cpu.cycles(), obs::EventType::kCrossingExit, obs::EventClass::kArch,
+                function_id, result.ok ? 1u : 0u);
+  }
+  kernel_.ProfileRestore(prev_cat);
+  return result;
 }
 
 void KernelExtensionManager::HandleKernelService() {
@@ -435,26 +414,23 @@ bool KernelExtensionManager::IsBusy(u32 ext_id) const {
   return it != extensions_.end() && it->second.busy;
 }
 
-std::optional<u32> KernelExtensionManager::SharedAreaOffset(u32 ext_id) const {
-  auto it = extensions_.find(ext_id);
-  if (it == extensions_.end()) return std::nullopt;
-  return it->second.shared_offset;
+std::optional<u32> KernelExtensionManager::SharedSpan(u32 ext_id, u32 offset, u32 len) const {
+  const ExtensionState* ext = extension(ext_id);
+  if (ext == nullptr || !ext->shared_offset ||
+      u64{*ext->shared_offset} + offset + len > ext->span) {
+    return std::nullopt;
+  }
+  return ext->linear_base + *ext->shared_offset + offset;
 }
 
 bool KernelExtensionManager::WriteShared(u32 ext_id, u32 offset, const void* src, u32 len) {
-  const ExtensionState* ext = extension(ext_id);
-  if (ext == nullptr || !ext->shared_offset || *ext->shared_offset + offset + len > ext->span) {
-    return false;
-  }
-  return kernel_.WriteKernelVirt(ext->linear_base + *ext->shared_offset + offset, src, len);
+  const std::optional<u32> at = SharedSpan(ext_id, offset, len);
+  return at && kernel_.WriteKernelVirt(*at, src, len);
 }
 
 bool KernelExtensionManager::ReadShared(u32 ext_id, u32 offset, void* dst, u32 len) {
-  const ExtensionState* ext = extension(ext_id);
-  if (ext == nullptr || !ext->shared_offset || *ext->shared_offset + offset + len > ext->span) {
-    return false;
-  }
-  return kernel_.ReadKernelVirt(ext->linear_base + *ext->shared_offset + offset, dst, len);
+  const std::optional<u32> at = SharedSpan(ext_id, offset, len);
+  return at && kernel_.ReadKernelVirt(*at, dst, len);
 }
 
 }  // namespace palladium

@@ -65,7 +65,6 @@ class KernelExtensionManager {
   // Shared data area: the module's exported `pd_shared` symbol (Section
   // 4.3); kernel and extension exchange bulk data (e.g. packet headers)
   // through it without copying through syscall boundaries.
-  std::optional<u32> SharedAreaOffset(u32 ext_id) const;  // segment-relative
   bool WriteShared(u32 ext_id, u32 offset, const void* src, u32 len);
   bool ReadShared(u32 ext_id, u32 offset, void* dst, u32 len);
 
@@ -108,6 +107,9 @@ class KernelExtensionManager {
 
  private:
   void HandleKernelService();
+  // The kernel-linear address of [offset, offset + len) of the extension's
+  // shared area, if it has one and the span stays inside its segment.
+  std::optional<u32> SharedSpan(u32 ext_id, u32 offset, u32 len) const;
   InvokeResult Abort(ExtensionState& ext, const std::string& reason, u32 charge);
 
   Kernel& kernel_;

@@ -16,6 +16,7 @@ ProtectedMemoryService::Handle ProtectedMemoryService::CreateRegion(u32 pages) {
   if (pages == 0) return 0;
   Region region;
   region.frames.reserve(pages);
+  PageTableEditor ed = kernel_.Editor(kernel_.kernel_cr3());
   for (u32 i = 0; i < pages; ++i) {
     u32 frame = kernel_.frames().Alloc();
     if (frame == 0) {
@@ -25,9 +26,7 @@ ProtectedMemoryService::Handle ProtectedMemoryService::CreateRegion(u32 pages) {
     region.frames.push_back(frame);
     // Evict the frame from the kernel direct map: after this, *no* linear
     // address in any address space, on any vCPU, reaches it.
-    PageTableEditor ed(kernel_.machine().pm(), kernel_.kernel_cr3());
     ed.Unmap(kKernelBase + frame);
-    kernel_.ShootdownPage(kernel_.kernel_cr3(), kKernelBase + frame);
   }
   region.window_base = next_window_base_;
   next_window_base_ += PageAlignUp(pages * kPageSize) + kPageSize;  // guard gap
@@ -40,9 +39,9 @@ void ProtectedMemoryService::DestroyRegion(Handle handle) {
   auto it = regions_.find(handle);
   if (it == regions_.end()) return;
   CloseWindow(handle);
+  PageTableEditor ed = kernel_.Editor(kernel_.kernel_cr3());
   for (u32 f : it->second.frames) {
     // Restore the direct mapping before returning the frame to the pool.
-    PageTableEditor ed(kernel_.machine().pm(), kernel_.kernel_cr3());
     ed.Map(kKernelBase + f, f, kPtePresent | kPteWrite, [] { return 0u; });
     kernel_.frames().Free(f);
   }
@@ -50,38 +49,27 @@ void ProtectedMemoryService::DestroyRegion(Handle handle) {
 }
 
 bool ProtectedMemoryService::Read(Handle handle, u32 offset, void* dst, u32 len) {
-  auto it = regions_.find(handle);
-  if (it == regions_.end()) return false;
-  const Region& region = it->second;
-  if (offset + len < offset || offset + len > region.frames.size() * kPageSize) return false;
-  u8* out = static_cast<u8*>(dst);
-  while (len > 0) {
-    u32 page = offset / kPageSize, in_page = offset % kPageSize;
-    u32 chunk = std::min(len, kPageSize - in_page);
-    if (!kernel_.machine().pm().ReadBlock(region.frames[page] + in_page, out, chunk)) {
-      return false;
-    }
-    offset += chunk;
-    out += chunk;
-    len -= chunk;
-  }
-  return true;
+  return Copy(handle, offset, dst, len, /*to_region=*/false);
 }
 
 bool ProtectedMemoryService::Write(Handle handle, u32 offset, const void* src, u32 len) {
+  return Copy(handle, offset, const_cast<void*>(src), len, /*to_region=*/true);
+}
+
+bool ProtectedMemoryService::Copy(Handle handle, u32 offset, void* buf, u32 len, bool to_region) {
   auto it = regions_.find(handle);
   if (it == regions_.end()) return false;
   const Region& region = it->second;
   if (offset + len < offset || offset + len > region.frames.size() * kPageSize) return false;
-  const u8* in = static_cast<const u8*>(src);
+  PhysicalMemory& pm = kernel_.machine().pm();
+  u8* p = static_cast<u8*>(buf);
   while (len > 0) {
-    u32 page = offset / kPageSize, in_page = offset % kPageSize;
-    u32 chunk = std::min(len, kPageSize - in_page);
-    if (!kernel_.machine().pm().WriteBlock(region.frames[page] + in_page, in, chunk)) {
-      return false;
-    }
+    const u32 in_page = offset % kPageSize;
+    const u32 chunk = std::min(len, kPageSize - in_page);
+    const u32 phys = region.frames[offset / kPageSize] + in_page;
+    if (!(to_region ? pm.WriteBlock(phys, p, chunk) : pm.ReadBlock(phys, p, chunk))) return false;
     offset += chunk;
-    in += chunk;
+    p += chunk;
     len -= chunk;
   }
   return true;
@@ -92,13 +80,12 @@ std::optional<u16> ProtectedMemoryService::OpenWindow(Handle handle) {
   if (it == regions_.end()) return std::nullopt;
   Region& region = it->second;
   if (region.open) return Selector::FromIndex(region.gdt_slot, 0).raw();
-  PageTableEditor ed(kernel_.machine().pm(), kernel_.kernel_cr3());
+  PageTableEditor ed = kernel_.Editor(kernel_.kernel_cr3());
   for (u32 i = 0; i < region.frames.size(); ++i) {
     if (!ed.Map(region.window_base + i * kPageSize, region.frames[i],
                 kPtePresent | kPteWrite, [] { return 0u; })) {
       return std::nullopt;
     }
-    kernel_.cpu().tlb().FlushPage(region.window_base + i * kPageSize);
   }
   // A segment covering exactly the window: trusted code may load it and gets
   // limit-checked access; everything else still has no mapping to the frames
@@ -117,12 +104,9 @@ void ProtectedMemoryService::CloseWindow(Handle handle) {
   if (it == regions_.end() || !it->second.open) return;
   Region& region = it->second;
   // Unmapping must reach every vCPU's TLB, or a sibling keeps writing
-  // through the closed window.
-  PageTableEditor ed(kernel_.machine().pm(), kernel_.kernel_cr3());
-  for (u32 i = 0; i < region.frames.size(); ++i) {
-    ed.Unmap(region.window_base + i * kPageSize);
-    kernel_.ShootdownPage(kernel_.kernel_cr3(), region.window_base + i * kPageSize);
-  }
+  // through the closed window: the editor shoots each page down.
+  PageTableEditor ed = kernel_.Editor(kernel_.kernel_cr3());
+  for (u32 i = 0; i < region.frames.size(); ++i) ed.Unmap(region.window_base + i * kPageSize);
   kernel_.gdt().Clear(region.gdt_slot);
   region.open = false;
 }

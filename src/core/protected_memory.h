@@ -49,6 +49,9 @@ class ProtectedMemoryService {
   u32 region_pages(Handle handle) const;
 
  private:
+  // Read and Write's body: `len` bytes at `offset` of the region's frames.
+  bool Copy(Handle handle, u32 offset, void* buf, u32 len, bool to_region);
+
   struct Region {
     std::vector<u32> frames;
     u32 window_base = 0;   // reserved linear range (fixed per region)

@@ -257,21 +257,17 @@ int Cpu::DtlbTranslate(u32 linear, u32 size, bool is_write, u8** host, u32* phys
   return 1;
 }
 
-bool Cpu::DtlbHostRead(u32 linear, void* dst, u32 len) {
-  if (!dtlb_enabled_ || len == 0 || (linear & kPageMask) + len > kPageSize) return false;
-  const Tlb::Entry* e = tlb_.Probe(linear, tlb_.generation());
-  if (e == nullptr) return false;
-  std::memcpy(dst, e->host + (linear & kPageMask), len);
-  return true;
-}
-
-bool Cpu::DtlbHostWrite(u32 linear, const void* src, u32 len) {
+bool Cpu::HostCopy(u32 linear, void* buf, u32 len, bool to_guest) {
   if (!dtlb_enabled_ || len == 0 || (linear & kPageMask) + len > kPageSize) return false;
   const Tlb::Entry* e = tlb_.Probe(linear, tlb_.generation());
   if (e == nullptr) return false;
   const u32 off = linear & kPageMask;
-  std::memcpy(e->host + off, src, len);
-  pm_.NotifyWrite(e->frame + off, len);
+  if (to_guest) {
+    std::memcpy(e->host + off, buf, len);
+    pm_.NotifyWrite(e->frame + off, len);
+  } else {
+    std::memcpy(buf, e->host + off, len);
+  }
   return true;
 }
 

@@ -182,14 +182,14 @@ class Cpu {
   void set_dtlb_enabled(bool enabled) { dtlb_enabled_ = enabled; }
   bool dtlb_enabled() const { return dtlb_enabled_; }
 
-  // Host-side (kernel) copies through the TLB's host pointers: probe-only
-  // supervisor access to one page's worth of current-address-space memory.
-  // Never fills, never charges cycles or statistics, never faults — returns
-  // false on a miss (or when the span leaves the page / the fast path is
-  // disabled) and the caller falls back to its page-table walk. Writes fire
-  // the physical-memory write observer exactly like PhysicalMemory::WriteBlock.
-  bool DtlbHostRead(u32 linear, void* dst, u32 len);
-  bool DtlbHostWrite(u32 linear, const void* src, u32 len);
+  // A host-side (kernel) copy through the TLB's host pointer: probe-only
+  // supervisor access to one page's worth of current-address-space memory,
+  // into guest memory when `to_guest`, out of it otherwise. Never fills,
+  // never charges cycles or statistics, never faults — returns false on a
+  // miss (or when the span leaves the page / the fast path is disabled) and
+  // the caller falls back to its page-table walk. Writes fire the
+  // physical-memory write observer exactly like PhysicalMemory::WriteBlock.
+  bool HostCopy(u32 linear, void* buf, u32 len, bool to_guest);
   const CycleModel& cycle_model() const { return model_; }
   void set_cycle_model(const CycleModel& m) {
     model_ = m;

@@ -52,9 +52,12 @@ bool SetAccessedDirty(PhysicalMemory& pm, u32 cr3, u32 linear, bool dirty);
 // "kernel software", not hardware, and charge no cycles themselves.
 //
 // An editor can carry an invalidation hook that fires with the linear
-// address of every mapping it changes — the kernel wires it to the CPU's
-// INVLPG analogue (Tlb::FlushPage), so no PTE edit can leave a stale entry
-// in either the data TLB or the instruction-fetch fast path.
+// address of every PTE it writes — the kernel wires it to the CPU's INVLPG
+// analogue (Tlb::FlushPage), so no PTE edit can leave a stale entry in
+// either the data TLB or the instruction-fetch fast path. The one exception
+// is a Map over a not-present PTE, which fires nothing: no TLB caches a
+// not-present entry (a TLB fill, and the fetch pin, follow only a
+// successful walk).
 class PageTableEditor {
  public:
   using InvalidateFn = std::function<void(u32 linear)>;
@@ -70,6 +73,7 @@ class PageTableEditor {
 
   // Maps `linear` -> `frame` with `flags`, allocating the page table from
   // `alloc_frame` (a callback returning a zeroed frame address, 0 on OOM).
+  // Invalidates only when it replaces a present PTE.
   template <typename FrameAlloc>
   bool Map(u32 linear, u32 frame, u32 flags, FrameAlloc&& alloc_frame) {
     u32 pde;
@@ -80,10 +84,12 @@ class PageTableEditor {
       pde = MakePte(table, kPtePresent | kPteWrite | kPteUser);
       if (!pm_.Write32(cr3_ + PdeIndex(linear) * 4, pde)) return false;
     }
-    if (!pm_.Write32((pde & kPteFrameMask) + PteIndex(linear) * 4, MakePte(frame, flags))) {
+    const u32 pte_addr = (pde & kPteFrameMask) + PteIndex(linear) * 4;
+    u32 old_pte = 0;
+    if (!pm_.Read32(pte_addr, &old_pte) || !pm_.Write32(pte_addr, MakePte(frame, flags))) {
       return false;
     }
-    Invalidate(linear);
+    if (old_pte & kPtePresent) Invalidate(linear);
     return true;
   }
 

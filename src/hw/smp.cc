@@ -5,8 +5,6 @@ namespace palladium {
 SmpInterleaver::SmpInterleaver(Machine& machine)
     : machine_(machine), parked_(machine.num_cpus(), false) {}
 
-u64 SmpInterleaver::Frontier() const { return Pick().cycles; }
-
 void SmpInterleaver::Run(u64 cycle_limit, const StopHandler& on_stop) {
   for (;;) {
     const FrontierPick f = Pick();

@@ -79,16 +79,11 @@ class SmpInterleaver {
   void AddEvent(u64 cycle, EventFn fn) { events_.emplace(cycle, std::move(fn)); }
 
   void Park(u32 cpu_index) { parked_[cpu_index] = true; }
-  void Unpark(u32 cpu_index) { parked_[cpu_index] = false; }
-  bool parked(u32 cpu_index) const { return parked_[cpu_index]; }
 
   // Runs until every vCPU is parked or every live vCPU's counter has
   // reached `cycle_limit`. `on_stop` is invoked for every CPU stop that is
   // not the interleaver's own slice boundary (faults, HLT, host calls).
   void Run(u64 cycle_limit, const StopHandler& on_stop);
-
-  // Frontier: smallest cycle counter over live vCPUs (~0 when all parked).
-  u64 Frontier() const;
 
  private:
   FrontierPick Pick() const {

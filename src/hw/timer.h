@@ -20,13 +20,6 @@ class IntervalTimer : public IrqDevice {
     NotifyHub();
   }
 
-  void Stop() {
-    next_fire_ = kIdle;
-    NotifyHub();
-  }
-  bool armed() const { return next_fire_ != kIdle; }
-  u64 period() const { return period_; }
-
   u64 next_event() const override { return next_fire_; }
 
   void Advance(u64 now) override {

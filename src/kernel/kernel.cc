@@ -276,21 +276,27 @@ bool Kernel::AddArea(Process& proc, u32 start, u32 end, u32 prot, const char* ta
   return true;
 }
 
+u32 Kernel::UserPteFlags(const Process& proc, const VmArea& area, u32 linear) const {
+  const bool writable = (area.prot & kProtWrite) != 0;
+  auto it = proc.page_ppl.find(PageNumber(linear));
+  const bool ppl1 = it != proc.page_ppl.end()
+                        ? it->second == 1
+                        : !(proc.ppl_policy && writable && !area.shared_ppl1);
+  return kPtePresent | (writable ? kPteWrite : 0) | (ppl1 ? kPteUser : 0);
+}
+
 bool Kernel::MapUserPage(Process& proc, u32 linear, const VmArea& area) {
-  linear = PageAlignDown(linear);
   u32 frame = frames_.Alloc();
   if (frame == 0) return false;
-  const bool writable = (area.prot & kProtWrite) != 0;
-  // Palladium PPL policy (Section 4.4.1): once the process is at SPL 2,
-  // writable pages default to PPL 0 unless explicitly shared via set_range.
-  bool ppl1 = true;
-  if (proc.ppl_policy && writable && !area.shared_ppl1 &&
-      proc.ppl1_pages.count(PageNumber(linear)) == 0) {
-    ppl1 = false;
-  }
-  u32 flags = kPtePresent | (writable ? kPteWrite : 0) | (ppl1 ? kPteUser : 0);
   PageTableEditor ed = Editor(proc.cr3);
-  return ed.Map(linear, frame, flags, [this] { return frames_.Alloc(); });
+  return ed.Map(PageAlignDown(linear), frame, UserPteFlags(proc, area, linear),
+                [this] { return frames_.Alloc(); });
+}
+
+bool Kernel::Reprotect(PageTableEditor& ed, const Process& proc, const VmArea& area, u32 linear,
+                       u32 bits) {
+  const u32 want = UserPteFlags(proc, area, linear) & bits;
+  return ed.UpdateFlags(linear, want, bits & ~want);
 }
 
 bool Kernel::PopulateRange(Process& proc, u32 start, u32 end) {
@@ -305,75 +311,50 @@ bool Kernel::PopulateRange(Process& proc, u32 start, u32 end) {
   return true;
 }
 
+bool Kernel::CopyVirt(u32 cr3, Process* demand, u32 linear, void* buf, u32 len,
+                      bool to_guest) {
+  PhysicalMemory& pm = machine_.pm();
+  PageTableEditor ed(pm, cr3);
+  // The TLB caches cpu().cr3()'s translations, and kernel-range ones are
+  // shared by every address space, so either makes a live entry valid here.
+  const bool live_space = cpu().cr3() == cr3;
+  u8* p = static_cast<u8*>(buf);
+  while (len > 0) {
+    const u32 off = linear & kPageMask;
+    const u32 chunk = std::min(len, kPageSize - off);
+    const bool via_tlb =
+        (linear >= kKernelBase || live_space) && cpu().HostCopy(linear, p, chunk, to_guest);
+    if (!via_tlb) {
+      const VmArea* area = demand != nullptr ? demand->FindArea(linear) : nullptr;
+      if (demand != nullptr && area == nullptr) return false;
+      u32 pte = 0;
+      if (!ed.GetPte(linear, &pte) || !(pte & kPtePresent)) {
+        if (area == nullptr || !MapUserPage(*demand, linear, *area)) return false;
+        ed.GetPte(linear, &pte);
+      }
+      const u32 phys = (pte & kPteFrameMask) + off;
+      if (!(to_guest ? pm.WriteBlock(phys, p, chunk) : pm.ReadBlock(phys, p, chunk))) {
+        return false;
+      }
+    }
+    linear += chunk;
+    p += chunk;
+    len -= chunk;
+  }
+  return true;
+}
+
 bool Kernel::CopyToUser(Process& proc, u32 linear, const void* src, u32 len) {
   // access_ok: user copies must stay inside the user half of the address
   // space. Without this a syscall taking a user pointer (write, sigaction)
   // would walk the shared kernel PDEs and read or clobber kernel memory.
   if (linear >= kUserLimit || len > kUserLimit - linear) return false;
-  const u8* p = static_cast<const u8*>(src);
-  const bool current_space = cpu().cr3() == proc.cr3;
-  while (len > 0) {
-    u32 page_off = linear & kPageMask;
-    u32 chunk = std::min(len, kPageSize - page_off);
-    // Fast path: pages the simulated CPU touched recently sit in its TLB
-    // with a host pointer; a hit replaces the page-table walk. Only valid
-    // for the live address space (the TLB caches cpu.cr3()).
-    if (current_space && cpu().DtlbHostWrite(linear, p, chunk)) {
-      linear += chunk;
-      p += chunk;
-      len -= chunk;
-      continue;
-    }
-    VmArea* area = proc.FindArea(linear);
-    if (area == nullptr) return false;
-    PageTableEditor ed(machine_.pm(), proc.cr3);
-    u32 pte = 0;
-    if (!ed.GetPte(linear, &pte) || !(pte & kPtePresent)) {
-      if (!MapUserPage(proc, linear, *area)) return false;
-      ed.GetPte(linear, &pte);
-    }
-    if (!machine_.pm().WriteBlock((pte & kPteFrameMask) + page_off, p, chunk)) return false;
-    linear += chunk;
-    p += chunk;
-    len -= chunk;
-  }
-  return true;
+  return CopyVirt(proc.cr3, &proc, linear, const_cast<void*>(src), len, /*to_guest=*/true);
 }
 
 bool Kernel::CopyFromUser(Process& proc, u32 linear, void* dst, u32 len) {
   if (linear >= kUserLimit || len > kUserLimit - linear) return false;  // access_ok
-  u8* p = static_cast<u8*>(dst);
-  const bool current_space = cpu().cr3() == proc.cr3;
-  while (len > 0) {
-    u32 page_off = linear & kPageMask;
-    u32 chunk = std::min(len, kPageSize - page_off);
-    if (current_space && cpu().DtlbHostRead(linear, p, chunk)) {
-      linear += chunk;
-      p += chunk;
-      len -= chunk;
-      continue;
-    }
-    PageTableEditor ed(machine_.pm(), proc.cr3);
-    u32 pte = 0;
-    if (!ed.GetPte(linear, &pte) || !(pte & kPtePresent)) {
-      // Unmapped page: demand-zero if within an area.
-      VmArea* area = proc.FindArea(linear);
-      if (area == nullptr) return false;
-      if (!MapUserPage(proc, linear, *area)) return false;
-      ed.GetPte(linear, &pte);
-    }
-    if (!machine_.pm().ReadBlock((pte & kPteFrameMask) + page_off, p, chunk)) return false;
-    linear += chunk;
-    p += chunk;
-    len -= chunk;
-  }
-  return true;
-}
-
-bool Kernel::SetPageUserBit(Process& proc, u32 linear, bool user) {
-  // Invalidation rides on the editor hook.
-  PageTableEditor ed = Editor(proc.cr3);
-  return user ? ed.UpdateFlags(linear, kPteUser, 0) : ed.UpdateFlags(linear, 0, kPteUser);
+  return CopyVirt(proc.cr3, &proc, linear, dst, len, /*to_guest=*/false);
 }
 
 bool Kernel::SetPageWritable(Process& proc, u32 linear, bool writable) {
@@ -389,52 +370,14 @@ std::optional<u32> Kernel::GetPte(Process& proc, u32 linear) {
 }
 
 bool Kernel::WriteKernelVirt(u32 linear, const void* src, u32 len) {
-  const u8* p = static_cast<const u8*>(src);
-  PageTableEditor ed(machine_.pm(), kernel_page_dir_template_);
-  while (len > 0) {
-    u32 off = linear & kPageMask;
-    u32 chunk = std::min(len, kPageSize - off);
-    // Kernel mappings are shared by every address space, so any live TLB
-    // entry for a kernel-range page (extension segments, trampoline argument
-    // slots the extension just touched) is valid here regardless of which
-    // CR3 primed it. User-range addresses must keep walking the template
-    // tables (where they are unmapped) — never the current process's.
-    if (linear >= kKernelBase && cpu().DtlbHostWrite(linear, p, chunk)) {
-      linear += chunk;
-      p += chunk;
-      len -= chunk;
-      continue;
-    }
-    u32 pte = 0;
-    if (!ed.GetPte(linear, &pte) || !(pte & kPtePresent)) return false;
-    if (!machine_.pm().WriteBlock((pte & kPteFrameMask) + off, p, chunk)) return false;
-    linear += chunk;
-    p += chunk;
-    len -= chunk;
-  }
-  return true;
+  // User-range addresses walk the template tables (where they are
+  // unmapped), never the current process's.
+  return CopyVirt(kernel_page_dir_template_, nullptr, linear, const_cast<void*>(src), len,
+                  /*to_guest=*/true);
 }
 
 bool Kernel::ReadKernelVirt(u32 linear, void* dst, u32 len) {
-  u8* p = static_cast<u8*>(dst);
-  PageTableEditor ed(machine_.pm(), kernel_page_dir_template_);
-  while (len > 0) {
-    u32 off = linear & kPageMask;
-    u32 chunk = std::min(len, kPageSize - off);
-    if (linear >= kKernelBase && cpu().DtlbHostRead(linear, p, chunk)) {
-      linear += chunk;
-      p += chunk;
-      len -= chunk;
-      continue;
-    }
-    u32 pte = 0;
-    if (!ed.GetPte(linear, &pte) || !(pte & kPtePresent)) return false;
-    if (!machine_.pm().ReadBlock((pte & kPteFrameMask) + off, p, chunk)) return false;
-    linear += chunk;
-    p += chunk;
-    len -= chunk;
-  }
-  return true;
+  return CopyVirt(kernel_page_dir_template_, nullptr, linear, dst, len, /*to_guest=*/false);
 }
 
 std::optional<std::string> Kernel::ReadUserString(Process& proc, u32 linear) {
@@ -563,7 +506,7 @@ bool Kernel::ExecImage(Pid pid, const LinkedImage& image, const std::string& ent
   // Privilege levels are not inherited across exec (Section 4.5.2).
   proc->task_spl = 3;
   proc->ppl_policy = false;
-  proc->ppl1_pages.clear();
+  proc->page_ppl.clear();
   proc->signals = SignalState{};
   proc->state = ProcessState::kRunnable;
   Charge(config_.costs.exec_base);
@@ -1125,6 +1068,9 @@ void Kernel::SysBrk(u32 new_brk) {
           return;
         }
       }
+      // A shrink gives back the pages above the new end, or they would stay
+      // mapped (and writable) outside every area.
+      if (new_end < a.end) ReleasePages(proc, new_end, a.end);
       a.end = new_end;
       proc.brk = new_brk;
       ReturnFromGate(new_brk);
@@ -1155,18 +1101,22 @@ void Kernel::SysMmap(u32 addr, u32 len, u32 prot) {
   ReturnFromGate(addr);
 }
 
+void Kernel::ReleasePages(Process& proc, u32 start, u32 end) {
+  PageTableEditor ed = Editor(proc.cr3);
+  for (u32 a = start; a < end; a += kPageSize) {
+    u32 pte = 0;
+    if (ed.GetPte(a, &pte) && (pte & kPtePresent)) {
+      EvictFrameEverywhere(pte & kPteFrameMask);
+      frames_.Free(pte & kPteFrameMask);
+      ed.Unmap(a);
+    }
+  }
+}
+
 bool Kernel::UnmapArea(Process& proc, u32 start, u32 end) {
   for (auto it = proc.areas.begin(); it != proc.areas.end(); ++it) {
     if (it->start == start && it->end == end) {
-      PageTableEditor ed = Editor(proc.cr3);
-      for (u32 a = start; a < end; a += kPageSize) {
-        u32 pte = 0;
-        if (ed.GetPte(a, &pte) && (pte & kPtePresent)) {
-          EvictFrameEverywhere(pte & kPteFrameMask);
-          frames_.Free(pte & kPteFrameMask);
-          ed.Unmap(a);
-        }
-      }
+      ReleasePages(proc, start, end);
       proc.areas.erase(it);
       return true;
     }
@@ -1202,18 +1152,12 @@ void Kernel::SysMprotect(u32 addr, u32 len, u32 prot) {
     ReturnFromGate(kErrInval);
     return;
   }
+  // W follows the new protection and so may the PPL: a page made writable
+  // in an SPL 2 process drops to PPL 0, one made read-only rises to PPL 1,
+  // exactly as demand paging maps the area's later pages.
   area->prot = prot;
   PageTableEditor ed = Editor(proc.cr3);
-  for (u32 a = start; a < end; a += kPageSize) {
-    u32 pte = 0;
-    if (ed.GetPte(a, &pte) && (pte & kPtePresent)) {
-      if (prot & kProtWrite) {
-        ed.UpdateFlags(a, kPteWrite, 0);
-      } else {
-        ed.UpdateFlags(a, 0, kPteWrite);
-      }
-    }
-  }
+  for (u32 a = start; a < end; a += kPageSize) Reprotect(ed, proc, *area, a, kPteWrite | kPteUser);
   ReturnFromGate(0);
 }
 
@@ -1265,7 +1209,7 @@ void Kernel::SysFork() {
   // bits in every copied PTE.
   child.task_spl = parent.task_spl;
   child.ppl_policy = parent.ppl_policy;
-  child.ppl1_pages = parent.ppl1_pages;
+  child.page_ppl = parent.page_ppl;
   child.signals.handlers = parent.signals.handlers;
 
   PhysicalMemory& pm = machine_.pm();
@@ -1334,16 +1278,14 @@ void Kernel::SysInitPL() {
   proc.task_spl = 2;
   proc.ppl_policy = true;
 
-  // Mark every already-mapped writable page PPL 0 (Section 4.4.1) and count
-  // the work for the cycle model.
+  // Mark every already-mapped page the policy now puts at PPL 0 (the
+  // writable, unshared ones; Section 4.4.1) and count the work for the cycle
+  // model.
   PageTableEditor ed = Editor(proc.cr3);
   u32 marked = 0;
   for (const VmArea& area : proc.areas) {
-    if (!(area.prot & kProtWrite) || area.shared_ppl1) continue;
     for (u32 a = area.start; a < area.end; a += kPageSize) {
-      u32 pte = 0;
-      if (ed.GetPte(a, &pte) && (pte & kPtePresent)) {
-        ed.UpdateFlags(a, 0, kPteUser);
+      if (!(UserPteFlags(proc, area, a) & kPteUser) && Reprotect(ed, proc, area, a, kPteUser)) {
         ++marked;
       }
     }
@@ -1385,22 +1327,18 @@ void Kernel::SysSetRange(u32 addr, u32 len, u32 ppl) {
     ReturnFromGate(kErrInval);
     return;
   }
+  // The choice holds for the page from now on: a mapped page is rewritten
+  // here, a later one is demand-mapped with it.
+  PageTableEditor ed = Editor(proc.cr3);
   u32 marked = 0;
   for (u32 a = addr; a < addr + len; a += kPageSize) {
-    if (proc.FindArea(a) == nullptr) {
+    const VmArea* area = proc.FindArea(a);
+    if (area == nullptr) {
       ReturnFromGate(kErrFault);
       return;
     }
-    if (ppl == 1) {
-      proc.ppl1_pages.insert(PageNumber(a));
-    } else {
-      proc.ppl1_pages.erase(PageNumber(a));
-    }
-    u32 pte = 0;
-    PageTableEditor ed(machine_.pm(), proc.cr3);
-    if (ed.GetPte(a, &pte) && (pte & kPtePresent)) {
-      SetPageUserBit(proc, a, ppl == 1);
-    }
+    proc.page_ppl[PageNumber(a)] = static_cast<u8>(ppl);
+    Reprotect(ed, proc, *area, a, kPteUser);
     ++marked;
   }
   Charge(config_.costs.ppl_mark_startup + marked * config_.costs.ppl_mark_per_page);

@@ -100,7 +100,7 @@ class Kernel {
   // --- Memory ----------------------------------------------------------------
   // Adds a VmArea (no eager mapping). Returns false on overlap.
   bool AddArea(Process& proc, u32 start, u32 end, u32 prot, const char* tag);
-  // Demand-pages one user page according to the Palladium PPL policy.
+  // Demand-pages one user page with UserPteFlags (the PPL policy).
   bool MapUserPage(Process& proc, u32 linear, const VmArea& area);
   // Eagerly materializes every page of [start,end).
   bool PopulateRange(Process& proc, u32 start, u32 end);
@@ -109,8 +109,7 @@ class Kernel {
   bool CopyFromUser(Process& proc, u32 linear, void* dst, u32 len);
   // Removes an area and frees its frames (munmap's core).
   bool UnmapArea(Process& proc, u32 start, u32 end);
-  // Page-table access for the Palladium module (set_range etc).
-  bool SetPageUserBit(Process& proc, u32 linear, bool user);
+  // Page-table access for the dynamic linker (the read-only GOT page).
   bool SetPageWritable(Process& proc, u32 linear, bool writable);
   std::optional<u32> GetPte(Process& proc, u32 linear);
 
@@ -164,8 +163,8 @@ class Kernel {
 
   // --- SMP ---------------------------------------------------------------------
   // Cross-CPU coherence. The shootdown protocol rides the page-table editor
-  // hook: every PTE edit flushes the edited page on the initiating CPU
-  // (INVLPG), and — exactly like a real kernel's flush_tlb_others with the
+  // hook: every edit of a present PTE flushes the edited page on the
+  // initiating CPU (INVLPG), and — exactly like a real kernel's flush_tlb_others with the
   // initiator spinning for acks — synchronously invalidates the page on
   // every remote CPU that could cache the translation (same CR3, or any CPU
   // for shared kernel-range mappings) before the edit returns. The remote
@@ -187,6 +186,11 @@ class Kernel {
   void SendIpi(u32 target_cpu, u32 ipi_irq);
   // The editor-hook body: local INVLPG + remote shootdown (see above).
   void ShootdownPage(u32 cr3, u32 linear);
+  // Page-table editor wired to ShootdownPage: every edit of a present PTE
+  // flushes that page's TLB entry on every core that could hold it, which
+  // also kills the instruction fetch fast path (Tlb::change_count). Use
+  // this, not a raw PageTableEditor, for any edit while the machine is live.
+  PageTableEditor Editor(u32 cr3);
   // Full-flush analogue for address-space-wide permission changes
   // (exec, init_PL): flushes every CPU running `cr3`.
   void FlushAddressSpace(u32 cr3);
@@ -317,15 +321,32 @@ class Kernel {
   void SysSetRange(u32 addr, u32 len, u32 ppl);
   void SysSetCallGate(u32 function);
 
+  // The one path from host code into guest memory, shared by the user and
+  // kernel copy functions. Chunk by page: a chunk the current vCPU's TLB
+  // holds (valid for a kernel-range address, or for any address when `cr3`
+  // is live) goes through the entry's host pointer; any other walks `cr3`'s
+  // tables. With `demand` (user copies) the walk requires one of its areas
+  // and demand-maps an absent page first; without, an absent page fails.
+  bool CopyVirt(u32 cr3, Process* demand, u32 linear, void* buf, u32 len, bool to_guest);
+  // The P/W/U bits of user page `linear` of `area` — the Palladium PPL
+  // policy (Section 4.4.1) in one place. W follows the area. U (PPL 1) is
+  // set_range's choice for the page if it made one; otherwise PPL 0 for a
+  // writable page of an SPL 2 process unless its area is shared with
+  // extensions; otherwise PPL 1.
+  u32 UserPteFlags(const Process& proc, const VmArea& area, u32 linear) const;
+  // Rewrites `bits` of `linear`'s PTE from UserPteFlags. A present PTE is
+  // written (and so flushed) even when nothing changes; returns false, and
+  // edits nothing, when the page is not present.
+  bool Reprotect(PageTableEditor& ed, const Process& proc, const VmArea& area, u32 linear,
+                 u32 bits);
+
+  // Frees the frame of every present page in [start, end) and unmaps it
+  // (munmap, and a brk shrink). Evicts each frame's decoded image first.
+  void ReleasePages(Process& proc, u32 start, u32 end);
+
   void InstallSignalTrampoline(Process& proc);
   bool BuildAddressSpace(Process& proc);
   void ReleaseAddressSpace(Process& proc);
-
-  // Page-table editor wired to the CPU's invalidation hook: every mapping
-  // edit flushes that page's TLB entry, which also kills the instruction
-  // fetch fast path (Tlb::change_count). Use this, not a raw
-  // PageTableEditor, for any edit while the machine is live.
-  PageTableEditor Editor(u32 cr3);
 
   // The process slot of the current vCPU (most kernel code runs "on" the
   // trapping core; this is its `current` in the Linux sense).

@@ -5,7 +5,7 @@
 
 #include <array>
 #include <deque>
-#include <set>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -55,7 +55,7 @@ struct Process {
   u8 task_spl = 3;         // logical SPL; 2 after init_PL
   bool ppl_policy = false; // writable pages get PPL 0 on fault
   u32 xmalloc_brk = 0;     // extension heap break (inside an extension area)
-  std::set<u32> ppl1_pages;  // pages pinned at PPL 1 by set_range
+  std::map<u32, u8> page_ppl;  // page number -> PPL (0 or 1) chosen by set_range
   u32 pl2_stack_top = 0;     // TSS inner stack for SPL3 -> SPL2 transitions
 
   // Kernel stack (direct-mapped): esp0 is a *kernel-segment offset*.

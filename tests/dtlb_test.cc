@@ -296,21 +296,21 @@ TEST(DTlb, HostCopyProbesRequireWarmEntry) {
   const u32 linear = 0x27000;
   u32 buf = 0;
   // Cold: the probe-only host path declines and the caller must walk.
-  EXPECT_FALSE(bm.cpu().DtlbHostRead(linear, &buf, 4));
+  EXPECT_FALSE(bm.cpu().HostCopy(linear, &buf, 4, /*to_guest=*/false));
   // Warm the page through an architectural access.
   Fault fault;
   u32 v = 0;
   ASSERT_TRUE(bm.cpu().ReadVirt(SegReg::kDs, linear, 4, &v, &fault));
   u32 payload = 0xFEEDFACEu;
-  EXPECT_TRUE(bm.cpu().DtlbHostWrite(linear + 8, &payload, 4));
-  EXPECT_TRUE(bm.cpu().DtlbHostRead(linear + 8, &buf, 4));
+  EXPECT_TRUE(bm.cpu().HostCopy(linear + 8, &payload, 4, /*to_guest=*/true));
+  EXPECT_TRUE(bm.cpu().HostCopy(linear + 8, &buf, 4, /*to_guest=*/false));
   EXPECT_EQ(buf, 0xFEEDFACEu);
   u32 direct = 0;
   ASSERT_TRUE(bm.pm().Read32(linear + 8, &direct));
   EXPECT_EQ(direct, 0xFEEDFACEu);
   // Spans leaving the page are refused regardless of warmth.
   u8 big[8];
-  EXPECT_FALSE(bm.cpu().DtlbHostRead(linear + kPageSize - 4, big, 8));
+  EXPECT_FALSE(bm.cpu().HostCopy(linear + kPageSize - 4, big, 8, /*to_guest=*/false));
 }
 
 TEST(DTlb, FrameBeyondMemoryFallsBackWithOracleParity) {

@@ -126,6 +126,20 @@ TEST_F(PagingTest, EditorUnmap) {
   EXPECT_FALSE(r.ok);
 }
 
+// The editor's hook fires only for edits of a present PTE: no TLB caches a
+// not-present entry, so filling one leaves nothing stale, while a remap or
+// an unmap replaces a translation a TLB may hold.
+TEST_F(PagingTest, EditorInvalidatesOnlyPresentPtes) {
+  u32 fired = 0;
+  PageTableEditor ed(pm_, cr3_, [&](u32) { ++fired; });
+  ASSERT_TRUE(ed.Map(0xA000, Alloc(), kPtePresent | kPteWrite, [&] { return Alloc(); }));
+  EXPECT_EQ(fired, 0u) << "a map over an absent PTE has nothing to invalidate";
+  ASSERT_TRUE(ed.Map(0xA000, Alloc(), kPtePresent | kPteWrite, [&] { return Alloc(); }));
+  EXPECT_EQ(fired, 1u) << "a remap must invalidate";
+  ASSERT_TRUE(ed.Unmap(0xA000));
+  EXPECT_EQ(fired, 2u) << "an unmap must invalidate";
+}
+
 TEST_F(PagingTest, UpdateFlagsOnMissingMappingFails) {
   PageTableEditor ed(pm_, cr3_);
   EXPECT_FALSE(ed.UpdateFlags(0x00900000, kPteUser, 0));

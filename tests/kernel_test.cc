@@ -3,6 +3,9 @@
 // set_call_gate) with their PPL side effects.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+
 #include "src/hw/paging.h"
 #include "tests/kernel_test_util.h"
 
@@ -132,6 +135,41 @@ main:
   RunResult r = fx.Run(pid);
   EXPECT_EQ(r.outcome, RunOutcome::kExited);
   EXPECT_EQ(r.exit_code, 123);
+}
+
+// Shrinking the break gives the pages above the new end back: a store into
+// a released heap page faults instead of landing in a frame that no area
+// owns any more.
+TEST(KernelMemory, BrkShrinkReleasesPages) {
+  KernelFixture fx;
+  std::string diag;
+  Pid pid = fx.LoadProgram(R"(
+  .global main
+main:
+  mov $SYS_BRK, %eax
+  mov $0, %ebx
+  int $INT_SYSCALL      ; current brk (page aligned: the heap starts empty)
+  mov %eax, %esi
+  mov %eax, %ebx
+  add $0x2000, %ebx
+  mov $SYS_BRK, %eax
+  int $INT_SYSCALL      ; grow by two pages
+  sti $5, 0(%esi)
+  sti $6, 0x1000(%esi)
+  mov %esi, %ebx
+  add $0x1000, %ebx
+  mov $SYS_BRK, %eax
+  int $INT_SYSCALL      ; shrink by one page
+  sti $7, 0x1000(%esi)  ; store into the released page
+  ld 0x1000(%esi), %ebx
+  mov $SYS_EXIT, %eax
+  int $INT_SYSCALL
+)",
+                           &diag);
+  ASSERT_NE(pid, 0u) << diag;
+  RunResult r = fx.Run(pid);
+  EXPECT_EQ(r.outcome, RunOutcome::kKilled) << "the released page stayed mapped";
+  EXPECT_NE(r.kill_reason.find("#PF"), std::string::npos);
 }
 
 TEST(KernelMemory, MmapAndMunmap) {
@@ -521,8 +559,90 @@ main:
   auto pte0 = fx.kernel().GetPte(*proc, base);
   ASSERT_TRUE(pte0.has_value());
   EXPECT_TRUE(*pte0 & kPteUser) << "set_range page must be PPL 1";
-  EXPECT_TRUE(proc->ppl1_pages.count(PageNumber(base)));
-  EXPECT_FALSE(proc->ppl1_pages.count(PageNumber(base + kPageSize)));
+  EXPECT_EQ(proc->page_ppl, (std::map<u32, u8>{{PageNumber(base), 1}}));
+}
+
+// Runs, in an SPL 2 process, an mmap of two pages with `prot` (base in
+// %esi), a load from page 0 (mapping it), then `body`; returns the two
+// pages' PTEs (0 when not mapped).
+std::array<u32, 2> Spl2TwoPagePtes(u32 prot, const std::string& body) {
+  KernelFixture fx;
+  std::string diag;
+  const Pid pid = fx.LoadProgram(R"(
+  .global main
+main:
+  mov $SYS_INIT_PL, %eax
+  int $INT_SYSCALL
+  mov $SYS_MMAP, %eax
+  mov $0, %ebx
+  mov $0x2000, %ecx
+  mov $)" + std::to_string(prot) + R"(, %edx
+  int $INT_SYSCALL
+  mov %eax, %esi
+  ld 0(%esi), %eax
+)" + body + R"(
+  mov $SYS_EXIT, %eax
+  mov %esi, %ebx         ; exit code = mmap base (for the test to find it)
+  int $INT_SYSCALL
+)",
+                                 &diag);
+  EXPECT_NE(pid, 0u) << diag;
+  if (pid == 0) return {};
+  const RunResult r = fx.Run(pid);
+  EXPECT_EQ(r.outcome, RunOutcome::kExited) << r.kill_reason;
+  Process* proc = fx.kernel().process(pid);
+  const u32 base = static_cast<u32>(r.exit_code);
+  return {fx.kernel().GetPte(*proc, base).value_or(0),
+          fx.kernel().GetPte(*proc, base + kPageSize).value_or(0)};
+}
+
+// mprotect RO -> RW in an SPL 2 process: the page a load already mapped at
+// PPL 1 must drop to PPL 0 like the page demand paging maps afterwards, or
+// SPL 3 extensions could write it.
+TEST(KernelPalladium, MprotectToWritableGivesPpl0) {
+  const std::array<u32, 2> ptes = Spl2TwoPagePtes(kProtRead, R"(
+  mov $SYS_MPROTECT, %eax
+  mov %esi, %ebx
+  mov $0x2000, %ecx
+  mov $)" + std::to_string(kProtRead | kProtWrite) + R"(, %edx
+  int $INT_SYSCALL
+  sti $1, 0(%esi)
+  sti $2, 0x1000(%esi))");
+  for (u32 pte : ptes) {
+    EXPECT_EQ(pte & (kPtePresent | kPteWrite | kPteUser), kPtePresent | kPteWrite)
+        << "expected a writable PPL 0 page";
+  }
+}
+
+// set_range PPL 0 over a read-only area holds for the page mapped before it
+// and for the page demand paging maps after it.
+TEST(KernelPalladium, SetRangePpl0HoldsForLaterMappedPages) {
+  const std::array<u32, 2> ptes = Spl2TwoPagePtes(kProtRead, R"(
+  mov $SYS_SET_RANGE, %eax
+  mov %esi, %ebx
+  mov $0x2000, %ecx
+  mov $0, %edx
+  int $INT_SYSCALL
+  ld 0x1000(%esi), %eax)");
+  for (u32 pte : ptes) {
+    EXPECT_EQ(pte & (kPtePresent | kPteWrite | kPteUser), kPtePresent) << "expected PPL 0";
+  }
+}
+
+// set_range PPL 1 on a writable page that is not mapped yet: demand paging
+// maps it at PPL 1, while its unshared neighbour gets the policy's PPL 0.
+TEST(KernelPalladium, SetRangePpl1HoldsForLaterMappedPages) {
+  const std::array<u32, 2> ptes = Spl2TwoPagePtes(kProtRead | kProtWrite, R"(
+  mov $SYS_SET_RANGE, %eax
+  mov %esi, %ebx
+  add $0x1000, %ebx
+  mov $0x1000, %ecx
+  mov $1, %edx
+  int $INT_SYSCALL
+  sti $1, 0x1000(%esi))");
+  EXPECT_EQ(ptes[0] & (kPtePresent | kPteWrite | kPteUser), kPtePresent | kPteWrite);
+  EXPECT_EQ(ptes[1] & (kPtePresent | kPteWrite | kPteUser),
+            kPtePresent | kPteWrite | kPteUser);
 }
 
 TEST(KernelPalladium, SetRangeRejectsUnalignedRange) {
@@ -606,6 +726,11 @@ TEST(KernelPalladium, TaskSplInheritedAcrossForkNotExec) {
 main:
   mov $SYS_INIT_PL, %eax
   int $INT_SYSCALL
+  mov $SYS_SET_RANGE, %eax
+  mov $0x08048000, %ebx  ; the first text page at PPL 0
+  mov $0x1000, %ecx
+  mov $0, %edx
+  int $INT_SYSCALL
   mov $SYS_FORK, %eax
   int $INT_SYSCALL
   mov %eax, %ebx
@@ -622,6 +747,9 @@ main:
   ASSERT_NE(child, nullptr);
   EXPECT_EQ(child->task_spl, 2) << "taskSPL inherited across fork";
   EXPECT_TRUE(child->ppl_policy);
+  const Process* parent = fx.kernel().process(pid);
+  EXPECT_EQ(parent->page_ppl, (std::map<u32, u8>{{PageNumber(0x08048000), 0}}));
+  EXPECT_EQ(child->page_ppl, parent->page_ppl) << "set_range choices inherited across fork";
 
   // exec resets to SPL 3.
   auto img = AssembleAndLink(AbiPrelude() + R"(
@@ -636,6 +764,7 @@ main:
   ASSERT_TRUE(fx.kernel().ExecImage(child_pid, *img, "main", &diag)) << diag;
   EXPECT_EQ(child->task_spl, 3) << "taskSPL must not survive exec";
   EXPECT_FALSE(child->ppl_policy);
+  EXPECT_TRUE(child->page_ppl.empty()) << "set_range choices must not survive exec";
   RunResult r2 = fx.Run(child_pid);
   EXPECT_EQ(r2.outcome, RunOutcome::kExited);
 }

@@ -212,6 +212,33 @@ main:
   EXPECT_EQ(k.pic(0).raised(kIrqIpiShootdown), 0u);
 }
 
+// Loading a kernel extension fills absent kernel PTEs for its whole segment,
+// which no core can cache, so it shoots nothing down on a live 4-vCPU
+// kernel; unmapping one of those pages replaces a present PTE and does.
+TEST(Smp, KextLoadShootsDownNothingAndItsUnmapOnePage) {
+  KernelFixture f(/*num_cpus=*/4);
+  Kernel& k = f.kernel();
+  Scheduler sched(k, Scheduler::Config{});
+  KernelExtensionManager kext(k);
+  AssembleError aerr;
+  auto obj = Assemble(R"(
+  .global nop
+nop:
+  ret
+)",
+                      &aerr);
+  ASSERT_TRUE(obj.has_value()) << aerr.ToString();
+  std::string diag;
+  auto ext = kext.LoadExtension("quiet", *obj, &diag);
+  ASSERT_TRUE(ext.has_value()) << diag;
+  EXPECT_EQ(k.smp_stats().shootdown_pages, 0u);
+  EXPECT_EQ(k.smp_stats().shootdown_ipis, 0u);
+
+  ASSERT_TRUE(k.UnmapKernelPage(kext.extension(*ext)->linear_base));
+  EXPECT_EQ(k.smp_stats().shootdown_pages, 1u);
+  EXPECT_EQ(k.smp_stats().shootdown_ipis, 3u) << "one IPI per other core";
+}
+
 // --- Cross-CPU self-modifying code ---------------------------------------------
 
 // CPU 1 overwrites an instruction in CPU 0's (already decoded) text; the
