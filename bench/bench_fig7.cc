@@ -69,8 +69,12 @@ u64 MeasureBpf(const FilterExpr& expr, const std::vector<u8>& pkt, bool* match) 
   constexpr u32 kPktAddr = 0x48000;
   constexpr u32 kCodeBase = 0x10000;
   BpfProgram prog = CompileFilterToBpf(expr);
-  BareMachine bm;
   std::string diag;
+  if (!prog.Validate(&diag)) {
+    std::fprintf(stderr, "bpf validate: %s\n", diag.c_str());
+    std::exit(1);
+  }
+  BareMachine bm;
   std::string src = BpfInterpreterAsmSource(kProgAddr, kPktAddr) + R"(
   .global main
 main:
@@ -116,10 +120,17 @@ main:
   hlt
 )";
   auto img1 = bm1.LoadProgram(src1, kCodeBase, &diag);
+  if (!img1) {
+    std::fprintf(stderr, "bpf asm: %s\n", diag.c_str());
+    std::exit(1);
+  }
   bm1.pm().WriteBlock(kProgAddr, ser.data(), static_cast<u32>(ser.size()));
   bm1.pm().WriteBlock(kPktAddr, pkt.data(), static_cast<u32>(pkt.size()));
   bm1.Start(*img1->Lookup("main"), 0, 0x80000);
-  bm1.Run(10'000'000);
+  if (bm1.Run(10'000'000).reason != StopReason::kHalted) {
+    std::fprintf(stderr, "bpf run did not halt\n");
+    std::exit(1);
+  }
   u64 one_call = bm1.cpu().cycles();
   return two_calls > one_call ? two_calls - one_call : one_call;
 }

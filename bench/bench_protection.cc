@@ -276,8 +276,9 @@ u64 MeasureBpf(const FilterExpr& expr, const Workload& w, BpfHostStats* host_sta
   constexpr u32 kPktAddr = 0x48000;
   constexpr u32 kLenCell = 0x47000;
   BpfProgram prog = CompileFilterToBpf(expr);
-  BareMachine bm;
   std::string diag;
+  if (!prog.Validate(&diag)) Die("bpf validate", diag);
+  BareMachine bm;
   const std::string src = BpfInterpreterAsmSource(kProgAddr, kPktAddr) + R"(
   .global main
 main:

@@ -48,55 +48,33 @@ std::optional<u32> KernelExtensionManager::LoadExtension(const std::string& name
                                                          const ObjectFile& obj,
                                                          std::string* diag,
                                                          const KextOptions& options) {
-  ExtensionState* seg = nullptr;
-  u32 ext_id = 0;
-  if (options.into_segment != 0) {
-    auto it = extensions_.find(options.into_segment);
-    if (it == extensions_.end()) {
-      if (diag != nullptr) *diag = "no such extension segment";
-      return std::nullopt;
-    }
-    // Modules sharing a segment share its stack and can link against each
-    // other's symbols (Section 4.3).
-    seg = &it->second;
-    ext_id = options.into_segment;
-  } else {
-    // First-fit from the free list (regions returned by UnloadExtension), so
+  const bool fresh = options.into_segment == 0;
+  u32 ext_id = options.into_segment;
+  if (fresh) {
+    // Reuse a region that a released segment returned before bumping, so
     // repeated load/unload cycles reuse addresses instead of exhausting the
     // kext region — and so stale-translation bugs at a reused base would show.
-    u32 region_offset = 0;
-    bool reused = false;
-    for (auto rit = free_regions_.begin(); rit != free_regions_.end(); ++rit) {
-      if (rit->second >= options.segment_span) {
-        region_offset = rit->first;
-        if (rit->second > options.segment_span) {
-          rit->first += options.segment_span;
-          rit->second -= options.segment_span;
-        } else {
-          free_regions_.erase(rit);
-        }
-        reused = true;
-        break;
-      }
+    u32 region_offset = next_region_offset_;
+    if (!free_regions_.empty()) {
+      region_offset = free_regions_.front();
+      free_regions_.erase(free_regions_.begin());
+    } else if (next_region_offset_ + kSegmentSpan > kKextRegionSpan) {
+      if (diag != nullptr) *diag = "kernel extension region exhausted";
+      return std::nullopt;
+    } else {
+      next_region_offset_ += kSegmentSpan;
     }
-    if (!reused) {
-      if (next_region_offset_ + options.segment_span > kKextRegionSpan) {
-        if (diag != nullptr) *diag = "kernel extension region exhausted";
-        return std::nullopt;
-      }
-      region_offset = next_region_offset_;
-      next_region_offset_ += options.segment_span;
-    }
+    // Registered before anything is mapped, so ReleaseSegment undoes every
+    // step below.
     ext_id = next_ext_id_++;
-    ExtensionState st;
+    ExtensionState& st = extensions_[ext_id];
     st.name = name;
     st.linear_base = kKextRegionBase + region_offset;
-    st.span = options.segment_span;
+    st.span = kSegmentSpan;
     st.cycle_limit = options.cycle_limit;
     // Stack at the top of the segment; stubs right below it.
     st.stack_top = st.span;
-    st.stub_bump = st.span - options.stack_bytes - kPageSize;
-    st.link_bump = 0;
+    st.stub_bump = st.span - kStackBytes - kPageSize;
 
     // GDT: one code and one data descriptor, both DPL 1, confined to the
     // segment (Figure 3).
@@ -106,37 +84,42 @@ std::optional<u32> KernelExtensionManager::LoadExtension(const std::string& name
     kernel_.gdt().Set(ds_slot, SegmentDescriptor::MakeData(st.linear_base, st.span, kSpl1));
     st.code_selector = Selector::FromIndex(cs_slot, 1).raw();
     st.data_selector = Selector::FromIndex(ds_slot, 1).raw();
+  } else if (extensions_.count(ext_id) == 0) {
+    if (diag != nullptr) *diag = "no such extension segment";
+    return std::nullopt;
+  }
+  // Modules sharing a segment share its stack and can link against each
+  // other's symbols (Section 4.3).
+  ExtensionState& seg = extensions_.at(ext_id);
+  // Every failure from here on releases a fresh segment; a shared one stays
+  // as it was.
+  const auto fail = [&](const std::string& why) -> std::optional<u32> {
+    if (diag != nullptr) *diag = why;
+    if (fresh) ReleaseSegment(ext_id);
+    return std::nullopt;
+  };
 
-    // Map the whole segment in kernel space (present supervisor pages; the
-    // confinement is purely segment-level, as in the paper).
-    for (u32 off = 0; off < st.span; off += kPageSize) {
-      if (kernel_.MapKernelPage(st.linear_base + off) == 0) {
-        if (diag != nullptr) *diag = "out of frames for extension segment";
-        return std::nullopt;
-      }
+  // Map the whole fresh segment in kernel space (present supervisor pages;
+  // the confinement is purely segment-level, as in the paper).
+  for (u32 off = 0; fresh && off < seg.span; off += kPageSize) {
+    if (kernel_.MapKernelPage(seg.linear_base + off) == 0) {
+      return fail("out of frames for extension segment");
     }
-    seg = &extensions_.emplace(ext_id, std::move(st)).first->second;
   }
 
   // Link the module segment-relative at the segment's bump pointer; imports
   // resolve against modules already in this segment.
-  std::map<std::string, u32> imports = seg->symbols;
   LinkError lerr;
-  auto img = LinkImage(obj, seg->link_bump, imports, &lerr);
-  if (!img) {
-    if (diag != nullptr) *diag = "link: " + lerr.message;
-    return std::nullopt;
+  auto img = LinkImage(obj, seg.link_bump, seg.symbols, &lerr);
+  if (!img) return fail("link: " + lerr.message);
+  if (img->TotalSpan() + seg.link_bump > seg.stub_bump) {
+    return fail("module does not fit in extension segment");
   }
-  if (img->TotalSpan() + seg->link_bump > seg->stub_bump) {
-    if (diag != nullptr) *diag = "module does not fit in extension segment";
-    return std::nullopt;
-  }
-  if (!kernel_.WriteKernelVirt(seg->linear_base + seg->link_bump + (img->text_start - img->base),
+  if (!kernel_.WriteKernelVirt(seg.linear_base + seg.link_bump + (img->text_start - img->base),
                                img->bytes.data(), static_cast<u32>(img->bytes.size()))) {
-    if (diag != nullptr) *diag = "cannot write extension segment";
-    return std::nullopt;
+    return fail("cannot write extension segment");
   }
-  seg->link_bump = PageAlignUp(seg->link_bump + img->TotalSpan());
+  seg.link_bump = PageAlignUp(seg.link_bump + img->TotalSpan());
 
   // Register every global text symbol of this module as an extension service
   // entry point (the module's registration step in Section 4.3).
@@ -144,33 +127,37 @@ std::optional<u32> KernelExtensionManager::LoadExtension(const std::string& name
     if (!sym.defined) continue;
     auto addr = img->Lookup(sym.name);
     if (!addr) continue;
-    seg->symbols[sym.name] = *addr;
-    if (sym.name == "pd_shared") seg->shared_offset = *addr;
+    seg.symbols[sym.name] = *addr;
+    if (sym.name == "pd_shared") seg.shared_offset = *addr;
     if (!sym.global || sym.section != SectionId::kText) continue;
     // Transfer stub: call f ; lcall kernel-return-gate.
     std::string stub_diag;
     auto stub = AssembleAndLink(KextTransferStubSource(*addr, kKernelReturnGateSel.raw()),
-                                seg->stub_bump, {}, &stub_diag);
-    if (!stub || !kernel_.WriteKernelVirt(seg->linear_base + seg->stub_bump,
+                                seg.stub_bump, {}, &stub_diag);
+    if (!stub || !kernel_.WriteKernelVirt(seg.linear_base + seg.stub_bump,
                                           stub->bytes.data(),
                                           static_cast<u32>(stub->bytes.size()))) {
-      if (diag != nullptr) *diag = "cannot emit transfer stub: " + stub_diag;
-      return std::nullopt;
+      return fail("cannot emit transfer stub: " + stub_diag);
     }
     FunctionEntry entry;
     entry.ext_id = ext_id;
-    entry.name = seg->name + ":" + sym.name;
-    entry.transfer_offset = seg->stub_bump;
+    entry.name = seg.name + ":" + sym.name;
+    entry.transfer_offset = seg.stub_bump;
     eft_.push_back(std::move(entry));
-    seg->stub_bump += 2 * kInsnSize;
+    seg.stub_bump += 2 * kInsnSize;
   }
   ++loads_;
   return ext_id;
 }
 
 void KernelExtensionManager::UnloadExtension(u32 ext_id) {
+  if (extensions_.count(ext_id) == 0) return;
+  ReleaseSegment(ext_id);
+  ++unloads_;
+}
+
+void KernelExtensionManager::ReleaseSegment(u32 ext_id) {
   auto it = extensions_.find(ext_id);
-  if (it == extensions_.end()) return;
   ExtensionState& ext = it->second;
   kernel_.gdt().Clear(Selector(ext.code_selector).index());
   kernel_.gdt().Clear(Selector(ext.data_selector).index());
@@ -192,16 +179,16 @@ void KernelExtensionManager::UnloadExtension(u32 ext_id) {
       ++qit;
     }
   }
-  // Unmap and free every page of the segment. UnmapKernelPage evicts each
-  // frame from every vCPU's decode cache (and trace tier) and the kernel-
-  // range PTE shootdown flushes all TLBs, so no stale translation of
-  // the dead image survives a reload at the same linear base.
+  // Unmap and free every page of the segment (a page a failed load never
+  // mapped is skipped). UnmapKernelPage evicts each frame from every vCPU's
+  // decode cache (and trace tier) and the kernel-range PTE shootdown flushes
+  // all TLBs, so no stale translation of the dead image survives a reload at
+  // the same linear base.
   for (u32 off = 0; off < ext.span; off += kPageSize) {
     kernel_.UnmapKernelPage(ext.linear_base + off);
   }
-  // Return the region for first-fit reuse by the next LoadExtension.
-  free_regions_.emplace_back(ext.linear_base - kKextRegionBase, ext.span);
-  ++unloads_;
+  // Return the region for reuse by the next LoadExtension.
+  free_regions_.push_back(ext.linear_base - kKextRegionBase);
   extensions_.erase(it);
 }
 

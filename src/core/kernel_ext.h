@@ -18,15 +18,15 @@
 namespace palladium {
 
 struct KextOptions {
-  u32 segment_span = 1u << 20;   // 1 MB extension segment
-  u32 stack_bytes = 16 * 1024;   // one stack per segment (paper)
   u64 cycle_limit = 2'000'000;   // per-invocation CPU-time cap
   u32 into_segment = 0;          // 0 = new segment; else an existing ext id
 };
 
 class KernelExtensionManager {
  public:
-  using Options = KextOptions;
+  // Every extension segment spans 1 MB, with one stack at its top (paper).
+  static constexpr u32 kSegmentSpan = 1u << 20;
+  static constexpr u32 kStackBytes = 16 * 1024;
 
   struct InvokeResult {
     bool ok = false;
@@ -42,7 +42,9 @@ class KernelExtensionManager {
   // The modified-insmod path: links `obj` segment-relative, maps an SPL 1
   // extension segment in kernel space, installs code/data/stack, generates a
   // Transfer stub per global text symbol, and registers those functions in
-  // the Extension Function Table. Returns the extension id.
+  // the Extension Function Table. Returns the extension id. A failed load
+  // leaves nothing behind: a fresh segment is released, and a segment named
+  // by `into_segment` is left as it was.
   std::optional<u32> LoadExtension(const std::string& name, const ObjectFile& obj,
                                    std::string* diag, const KextOptions& options = KextOptions{});
 
@@ -107,6 +109,9 @@ class KernelExtensionManager {
 
  private:
   void HandleKernelService();
+  // UnloadExtension's body, without counting an unload: a failed load
+  // releases its fresh segment through it.
+  void ReleaseSegment(u32 ext_id);
   // The kernel-linear address of [offset, offset + len) of the extension's
   // shared area, if it has one and the span stays inside its segment.
   std::optional<u32> SharedSpan(u32 ext_id, u32 offset, u32 len) const;
@@ -116,9 +121,9 @@ class KernelExtensionManager {
   std::map<u32, ExtensionState> extensions_;
   u32 next_ext_id_ = 1;
   u32 next_region_offset_ = 0;  // within [kKextRegionBase, +kKextRegionSpan)
-  // Regions returned by UnloadExtension, as (region offset, span) pairs;
-  // LoadExtension reuses them first-fit before bumping next_region_offset_.
-  std::vector<std::pair<u32, u32>> free_regions_;
+  // Region offsets returned by ReleaseSegment; LoadExtension reuses the
+  // first before bumping next_region_offset_.
+  std::vector<u32> free_regions_;
   std::vector<FunctionEntry> eft_;
   std::map<u32, ServiceFn> services_;
   std::deque<std::pair<u32, u32>> async_queue_;  // (function id, arg)

@@ -35,18 +35,6 @@ u32 FilterFieldWidth(FilterField field) {
   return 4;
 }
 
-const char* FilterFieldName(FilterField field) {
-  switch (field) {
-    case FilterField::kEtherType: return "ether.type";
-    case FilterField::kIpProto: return "ip.proto";
-    case FilterField::kIpSrc: return "ip.src";
-    case FilterField::kIpDst: return "ip.dst";
-    case FilterField::kSrcPort: return "tcp.sport";
-    case FilterField::kDstPort: return "tcp.dport";
-  }
-  return "?";
-}
-
 namespace {
 
 void SkipSpace(const std::string& s, size_t* i) {

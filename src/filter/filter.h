@@ -40,7 +40,6 @@ struct FilterExpr {
 // Field metadata.
 u32 FilterFieldOffset(FilterField field);
 u32 FilterFieldWidth(FilterField field);  // 1, 2 or 4 bytes
-const char* FilterFieldName(FilterField field);
 
 // Parses e.g. "ip.src == 10.0.0.1 && tcp.dport == 80 && ip.proto == 6".
 // Fields: ether.type ip.proto ip.src ip.dst tcp.sport tcp.dport

@@ -9,7 +9,7 @@ BareMachine::BareMachine(const BareMachineConfig& config)
     : machine_(Machine::Config{config.physical_memory_bytes, config.cycle_model,
                                config.num_cpus}),
       bump_next_(config.physical_memory_bytes) {
-  BuildIdentityPageTables(config.user_pages);
+  BuildIdentityPageTables();
   BuildGdt();
 }
 
@@ -19,10 +19,10 @@ u32 BareMachine::AllocFrame() {
   return bump_next_;
 }
 
-void BareMachine::BuildIdentityPageTables(bool user_pages) {
+void BareMachine::BuildIdentityPageTables() {
   PhysicalMemory& pm = machine_.pm();
   const u32 cr3 = AllocFrame();
-  const u32 flags = kPtePresent | kPteWrite | (user_pages ? kPteUser : 0);
+  const u32 flags = kPtePresent | kPteWrite | kPteUser;
   const u32 pages = pm.size() / kPageSize;
   for (u32 vpn = 0; vpn < pages; ++vpn) {
     const u32 linear = vpn << kPageShift;

@@ -12,7 +12,6 @@ namespace palladium {
 
 struct BareMachineConfig {
   u32 physical_memory_bytes = 16u << 20;
-  bool user_pages = true;  // identity map with PTE U-bit set (PPL 1)
   CycleModel cycle_model = CycleModel::Measured();
   // vCPU count (0 = PALLADIUM_SMP env, default 1). All vCPUs share the
   // identity page tables and the GDT; each gets its own TSS inner stacks.
@@ -69,7 +68,8 @@ class BareMachine {
   u32 tss_stack_top(u8 level) const { return tss_stack_top_[level]; }
 
  private:
-  void BuildIdentityPageTables(bool user_pages);
+  // Identity map, every page PPL 1 (U set) except the page tables' own.
+  void BuildIdentityPageTables();
   void BuildGdt();
 
   Machine machine_;

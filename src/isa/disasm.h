@@ -1,5 +1,5 @@
-// Disassembler for the simulated ISA — used by diagnostics, the SFI
-// rewriter's verifier, and tests.
+// Disassembler for the simulated ISA. No workload calls it: tests use it as
+// the assembler's round-trip oracle (assemble, disassemble, reassemble).
 #ifndef SRC_ISA_DISASM_H_
 #define SRC_ISA_DISASM_H_
 

@@ -132,26 +132,4 @@ const char* SegRegName(SegReg s) {
   return "%??";
 }
 
-bool IsBranch(Opcode op) {
-  switch (op) {
-    case Opcode::kJmp:
-    case Opcode::kJe:
-    case Opcode::kJne:
-    case Opcode::kJb:
-    case Opcode::kJae:
-    case Opcode::kJbe:
-    case Opcode::kJa:
-    case Opcode::kJl:
-    case Opcode::kJge:
-    case Opcode::kJle:
-    case Opcode::kJg:
-    case Opcode::kJs:
-    case Opcode::kJns:
-    case Opcode::kJmpR:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace palladium

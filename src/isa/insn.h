@@ -130,9 +130,6 @@ const char* OpcodeName(Opcode op);
 const char* RegName(Reg r);
 const char* SegRegName(SegReg s);
 
-// True for opcodes whose only memory traffic is the instruction fetch.
-bool IsBranch(Opcode op);
-
 }  // namespace palladium
 
 #endif  // SRC_ISA_INSN_H_

@@ -58,10 +58,7 @@ inline constexpr u32 kIrqNicTx = 6;
 inline constexpr u32 kHostEntrySyscall = 0;
 inline constexpr u32 kHostEntryKernelService = 1;
 inline constexpr u32 kHostEntryKextReturn = 2;
-inline constexpr u32 kHostEntryFaultRelay = 3;
-inline constexpr u32 kHostEntryFirstFree = 8;
-// IRQ gate targets occupy the top of the 256-entry host page, well clear of
-// AllocateHostCallId's growth upward from kHostEntryFirstFree.
+// IRQ gate targets occupy the top of the 256-entry host page.
 inline constexpr u32 kHostEntryIrqBase = 224;
 
 // --- System call numbers (Linux-2.0-flavoured + Palladium additions) --------

@@ -570,10 +570,10 @@ bool Kernel::HandleIrqFromGate(u32 irq, bool in_kernel_context) {
     recorder_->Record(cur_cpu, cpu().cycles(), obs::EventType::kIrqEoi,
                       obs::EventClass::kArch, irq, 0);
   }
-  // Hardware interrupts are transparent: restore the interrupted context
-  // before any kernel work, so handlers (which are host code) see the
-  // machine exactly as the interrupt found it.
-  ReturnFromInterrupt();
+  // Hardware interrupts are transparent: restore the interrupted context,
+  // every register included, before any kernel work, so handlers (which are
+  // host code) see the machine exactly as the interrupt found it.
+  ResumeFromGateFrame();
   bool preempt = false;
   if (irq == kIrqTimer && !in_kernel_context) {
     if (cur() != nullptr) ExtensionWatchdogTick(*cur());
@@ -796,10 +796,6 @@ void Kernel::ReturnFromGate(u32 eax_value) {
   ResumeFromGateFrame();
 }
 
-// IRET for hardware interrupts: identical to a syscall return except every
-// register — EAX included — must come back untouched.
-void Kernel::ReturnFromInterrupt() { ResumeFromGateFrame(); }
-
 void Kernel::ResumeFromGateFrame() {
   Fault f;
   u32 eip = 0, cs = 0, eflags = 0;
@@ -834,8 +830,6 @@ void Kernel::ResumeFromGateFrame() {
 void Kernel::RegisterHostCall(u32 id, HostCallHandler handler) {
   host_calls_[id] = std::move(handler);
 }
-
-u32 Kernel::AllocateHostCallId() { return next_host_call_id_++; }
 
 void Kernel::RegisterSyscall(u32 number, SyscallHandler handler) {
   extra_syscalls_[number] = std::move(handler);

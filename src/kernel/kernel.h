@@ -100,8 +100,6 @@ class Kernel {
   // --- Memory ----------------------------------------------------------------
   // Adds a VmArea (no eager mapping). Returns false on overlap.
   bool AddArea(Process& proc, u32 start, u32 end, u32 prot, const char* tag);
-  // Demand-pages one user page with UserPteFlags (the PPL policy).
-  bool MapUserPage(Process& proc, u32 linear, const VmArea& area);
   // Eagerly materializes every page of [start,end).
   bool PopulateRange(Process& proc, u32 start, u32 end);
   // Reads/writes process memory from the host (kernel copy_to/from_user).
@@ -134,9 +132,6 @@ class Kernel {
   // responsible for adjusting CPU state (e.g. ReturnFromGate).
   using HostCallHandler = std::function<void(Kernel&)>;
   void RegisterHostCall(u32 id, HostCallHandler handler);
-  u32 AllocateHostCallId();
-  // Linear address of a host entry (for gate targets): kernel-segment offset.
-  static u32 HostEntryOffset(u32 id) { return id * kInsnSize; }
 
   // --- Interrupts --------------------------------------------------------------
   // The kernel owns the interrupt fabric: one PIC + hub + local interval
@@ -162,19 +157,9 @@ class Kernel {
   u32 num_cpus() const { return machine_.num_cpus(); }
 
   // --- SMP ---------------------------------------------------------------------
-  // Cross-CPU coherence. The shootdown protocol rides the page-table editor
-  // hook: every edit of a present PTE flushes the edited page on the
-  // initiating CPU (INVLPG), and — exactly like a real kernel's flush_tlb_others with the
-  // initiator spinning for acks — synchronously invalidates the page on
-  // every remote CPU that could cache the translation (same CR3, or any CPU
-  // for shared kernel-range mappings) before the edit returns. The remote
-  // cost is modelled by a shootdown IPI raised on each such CPU's local
-  // PIC: the target core takes the interrupt at its next retire boundary
-  // and pays gate + dispatch cycles. Flushing the TLB page kills the
-  // target's data fast path with it (that path is the TLB's own entries) and
-  // bumps Tlb::change_count(), which kills its decoded-page fetch TLB in
-  // O(1) — so no stale data or instruction fast path survives a remote PTE
-  // edit, with or without the fast paths enabled.
+  // Cross-CPU coherence: the kernel is the only editor of a live page table,
+  // and every edit of a present PTE shoots the page down on every core that
+  // could cache it (ShootdownPage, below). These are its counters.
   struct SmpStats {
     u64 shootdown_pages = 0;  // PTE edits that broadcast remote invalidations
     u64 shootdown_ipis = 0;   // shootdown IPIs raised on remote cores
@@ -184,16 +169,6 @@ class Kernel {
   const SmpStats& smp_stats() const { return smp_stats_; }
   // Raises an IPI line on the target CPU's local PIC.
   void SendIpi(u32 target_cpu, u32 ipi_irq);
-  // The editor-hook body: local INVLPG + remote shootdown (see above).
-  void ShootdownPage(u32 cr3, u32 linear);
-  // Page-table editor wired to ShootdownPage: every edit of a present PTE
-  // flushes that page's TLB entry on every core that could hold it, which
-  // also kills the instruction fetch fast path (Tlb::change_count). Use
-  // this, not a raw PageTableEditor, for any edit while the machine is live.
-  PageTableEditor Editor(u32 cr3);
-  // Full-flush analogue for address-space-wide permission changes
-  // (exec, init_PL): flushes every CPU running `cr3`.
-  void FlushAddressSpace(u32 cr3);
 
   // Handler for a device IRQ (NIC, ...), run host-side after the interrupted
   // context has been restored. The timer IRQ is the kernel's own.
@@ -201,10 +176,6 @@ class Kernel {
   void RegisterIrqHandler(u32 irq, IrqHandler handler);
   void UnregisterIrqHandler(u32 irq) { irq_handlers_.erase(irq); }
   void UnregisterSyscall(u32 number) { extra_syscalls_.erase(number); }
-
-  // IRET from the current interrupt-gate frame preserving every register
-  // (hardware interrupts must be transparent to the interrupted code).
-  void ReturnFromInterrupt();
 
   // Full IRQ service from a live gate frame: charge, EOI, resume the
   // interrupted context, then run watchdog/scheduler bookkeeping (skipped
@@ -250,15 +221,6 @@ class Kernel {
   // Emulates IRET from the current interrupt-gate frame, placing `eax_value`
   // in EAX. Used by every syscall handler.
   void ReturnFromGate(u32 eax_value);
-  // Reads the interrupt frame of the in-progress gate entry.
-  struct GateFrame {
-    u32 eip = 0, cs = 0, eflags = 0, esp = 0, ss = 0;
-    bool has_outer_stack = false;
-  };
-  bool PeekGateFrame(GateFrame* frame);
-  // Rewrites the CS/SS selectors in the current gate frame (init_PL uses
-  // this to return the caller at SPL 2 instead of SPL 3).
-  bool PatchGateFrameSelectors(Selector cs, Selector ss);
 
   // Charges host-side kernel work to the simulated cycle counter.
   void Charge(u32 cycles) { cpu().set_cycles(cpu().cycles() + cycles); }
@@ -304,8 +266,47 @@ class Kernel {
   // Interrupt-driven from the timer IRQ when interrupts are enabled, or from
   // the cooperative slice check otherwise — same logic either way.
   void ExtensionWatchdogTick(Process& proc);
-  // Shared IRET body of ReturnFromGate / ReturnFromInterrupt.
+
+  // --- Gate frames -------------------------------------------------------------
+  // Linear address of a host entry (for gate targets): kernel-segment offset.
+  static u32 HostEntryOffset(u32 id) { return id * kInsnSize; }
+  // The interrupt frame of the in-progress gate entry.
+  struct GateFrame {
+    u32 eip = 0, cs = 0, eflags = 0, esp = 0, ss = 0;
+    bool has_outer_stack = false;
+  };
+  bool PeekGateFrame(GateFrame* frame);
+  // Rewrites the CS/SS selectors in the current gate frame (init_PL uses
+  // this to return the caller at SPL 2 instead of SPL 3).
+  bool PatchGateFrameSelectors(Selector cs, Selector ss);
+  // IRET from the current gate frame. ReturnFromGate sets EAX first; a
+  // hardware interrupt returns through this directly, so every register
+  // comes back untouched.
   void ResumeFromGateFrame();
+
+  // --- Page-table edits --------------------------------------------------------
+  // The shootdown protocol rides the page-table editor hook: every edit of
+  // a present PTE flushes the edited page on the initiating CPU (INVLPG),
+  // and — exactly like a real kernel's flush_tlb_others with the initiator
+  // spinning for acks — synchronously invalidates the page on every remote
+  // CPU that could cache the translation (same CR3, or any CPU for shared
+  // kernel-range mappings) before the edit returns. The remote cost is
+  // modelled by a shootdown IPI raised on each such CPU's local PIC: the
+  // target core takes the interrupt at its next retire boundary and pays
+  // gate + dispatch cycles. Flushing the TLB page kills the target's data
+  // fast path with it (that path is the TLB's own entries) and bumps
+  // Tlb::change_count(), which kills its decoded-page fetch TLB in O(1) — so
+  // no stale data or instruction fast path survives a remote PTE edit, with
+  // or without the fast paths enabled.
+  void ShootdownPage(u32 cr3, u32 linear);
+  // Page-table editor wired to ShootdownPage. Every edit of a live page
+  // table goes through one of these, never a raw PageTableEditor.
+  PageTableEditor Editor(u32 cr3);
+  // Full-flush analogue for address-space-wide permission changes (exec):
+  // flushes every CPU running `cr3`.
+  void FlushAddressSpace(u32 cr3);
+  // Demand-pages one user page with UserPteFlags (the PPL policy).
+  bool MapUserPage(Process& proc, u32 linear, const VmArea& area);
 
   // Built-in syscall implementations.
   void SysExit(u32 code);
@@ -377,7 +378,6 @@ class Kernel {
   std::vector<Process*> current_;  // one slot per vCPU
 
   std::map<u32, HostCallHandler> host_calls_;
-  u32 next_host_call_id_ = kHostEntryFirstFree;
   std::map<u32, SyscallHandler> extra_syscalls_;
   KextInvoker kext_invoker_;
 

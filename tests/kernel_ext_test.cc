@@ -1,8 +1,11 @@
 // Kernel-extension mechanism tests (paper Section 4.3): loading into SPL 1
 // segments, protected invocation, confinement by segment limits and DPL
-// checks, kernel services, shared data areas, multi-module segments, and
-// asynchronous extensions.
+// checks, kernel services, shared data areas, multi-module segments,
+// asynchronous extensions, and loads that fail without leaving anything
+// behind.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "src/core/kernel_ext.h"
 #include "tests/kernel_test_util.h"
@@ -29,6 +32,25 @@ class KextFixture : public ::testing::Test {
     auto id = kext_.FindFunction(name);
     EXPECT_TRUE(id.has_value()) << "no EFT entry: " << name;
     return id.value_or(0);
+  }
+
+  // Loads a module that must fail; returns the diagnostic.
+  std::string MustFail(const std::string& source, KextOptions options = KextOptions{}) {
+    AssembleError aerr;
+    auto obj = Assemble(AbiPrelude() + source, &aerr);
+    EXPECT_TRUE(obj.has_value()) << aerr.ToString();
+    std::string diag;
+    EXPECT_FALSE(kext_.LoadExtension("doomed", *obj, &diag, options).has_value());
+    return diag;
+  }
+
+  // Dynamic GDT slots in use (extension segments, call gates).
+  u32 DynamicGdtSlotsInUse() {
+    u32 n = 0;
+    for (u16 i = kGdtFirstDynamic; i < kernel_.gdt().size(); ++i) {
+      if (kernel_.gdt().Get(i)->type != DescriptorType::kNull) ++n;
+    }
+    return n;
   }
 
   Machine machine_;
@@ -524,6 +546,60 @@ TEST_F(KextFixture, ReloadAtReusedBaseRunsNewCode) {
   auto r = kext_.Invoke(Fn("imgv2:f1"), 0);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.value, 2u);
+}
+
+// A failed load leaves nothing behind: its fresh segment's frames, GDT
+// slots and region all come back, and it counts as neither a load nor an
+// unload. Linking fails only after the segment is mapped.
+TEST_F(KextFixture, FailedLinkReleasesItsFreshSegment) {
+  const u32 free_before = kernel_.frames().free_frames();
+  const u32 slots_before = DynamicGdtSlotsInUse();
+  const std::string diag = MustFail(".extern missing\n.global f\nf:\n  call missing\n  ret\n");
+  EXPECT_NE(diag.find("link: unresolved symbol"), std::string::npos) << diag;
+  EXPECT_EQ(kernel_.frames().free_frames(), free_before);
+  EXPECT_EQ(DynamicGdtSlotsInUse(), slots_before);
+  EXPECT_EQ(kext_.loads(), 0u);
+  EXPECT_EQ(kext_.unloads(), 0u);
+  const u32 id = MustLoad("next", ".global f\nf:\n  ret\n");
+  EXPECT_EQ(kext_.extension(id)->linear_base, kKextRegionBase);
+}
+
+// Running out of frames partway through mapping the 256-page segment gives
+// back the pages already mapped, the GDT slots and the region.
+TEST_F(KextFixture, OutOfFramesMidSegmentLeavesNothing) {
+  std::vector<u32> held;
+  while (kernel_.frames().free_frames() > 100) held.push_back(kernel_.frames().Alloc());
+  const u32 slots_before = DynamicGdtSlotsInUse();
+  const std::string diag = MustFail(".global f\nf:\n  ret\n");
+  EXPECT_NE(diag.find("out of frames"), std::string::npos) << diag;
+  EXPECT_EQ(kernel_.frames().free_frames(), 100u);
+  EXPECT_EQ(DynamicGdtSlotsInUse(), slots_before);
+  EXPECT_EQ(kext_.loads(), 0u);
+  EXPECT_EQ(kext_.unloads(), 0u);
+  for (u32 frame : held) kernel_.frames().Free(frame);
+  const u32 id = MustLoad("next", ".global f\nf:\n  ret\n");
+  EXPECT_EQ(kext_.extension(id)->linear_base, kKextRegionBase);
+}
+
+// A module that fails to link into an existing segment leaves that segment,
+// and the modules already in it, as they were.
+TEST_F(KextFixture, FailedLinkIntoExistingSegmentKeepsIt) {
+  const u32 seg = MustLoad("host", ".global get\nget:\n  mov $9, %eax\n  ret\n");
+  const u32 free_before = kernel_.frames().free_frames();
+  const u32 slots_before = DynamicGdtSlotsInUse();
+  KextOptions opts;
+  opts.into_segment = seg;
+  const std::string diag =
+      MustFail(".extern missing\n.global g\ng:\n  call missing\n  ret\n", opts);
+  EXPECT_NE(diag.find("link: unresolved symbol"), std::string::npos) << diag;
+  ASSERT_NE(kext_.extension(seg), nullptr);
+  EXPECT_EQ(kernel_.frames().free_frames(), free_before);
+  EXPECT_EQ(DynamicGdtSlotsInUse(), slots_before);
+  auto r = kext_.Invoke(Fn("host:get"), 0);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.value, 9u);
+  EXPECT_EQ(kext_.loads(), 1u);
+  EXPECT_EQ(kext_.unloads(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // SMP machine tests: IPI delivery and priority against device IRQs, the
 // exactness of the cross-CPU TLB/D-TLB shootdown protocol (and a negative
-// control showing what a *forgotten* shootdown would permit), cross-CPU
+// control showing what a *forgotten* shootdown would permit), a kernel-range
+// unmap reaching a sibling vCPU's live TLB entry, cross-CPU
 // self-modifying-code coherence through the fanned-out write observer,
 // work-stealing fairness in the per-CPU scheduler, RSS flow steering, and
 // the containment story: a hostile kernel extension invoked from CPU 1 is
@@ -237,6 +238,62 @@ nop:
   ASSERT_TRUE(k.UnmapKernelPage(kext.extension(*ext)->linear_base));
   EXPECT_EQ(k.smp_stats().shootdown_pages, 1u);
   EXPECT_EQ(k.smp_stats().shootdown_ipis, 3u) << "one IPI per other core";
+}
+
+// A kernel-range unmap on one vCPU kills a live TLB entry on every other
+// vCPU: unloading a kext depends on it. vCPU 1 stores into a page from
+// MapKernelPage, so its TLB holds the translation; vCPU 0 unmaps the page.
+// vCPU 1 runs the same store again without reloading CR3 (a reload would
+// flush): it must stop with #PF at that address, not write the freed frame.
+TEST(Smp, KernelUnmapKillsSiblingVcpuTlbEntry) {
+  KernelFixture f(/*num_cpus=*/2);
+  Kernel& k = f.kernel();
+  Machine& m = f.machine();
+  constexpr u32 kCode = 0x00200000;  // kernel-segment offsets
+  constexpr u32 kStackTop = 0x00202000;
+  constexpr u32 kData = 0x00203000;
+  ASSERT_NE(k.MapKernelPage(kKernelBase + kCode), 0u);
+  ASSERT_NE(k.MapKernelPage(kKernelBase + kStackTop - kPageSize), 0u);
+  ASSERT_NE(k.MapKernelPage(kKernelBase + kData), 0u);
+  std::string diag;
+  auto img = AssembleAndLink(R"(
+  .global main
+main:
+  mov $)" + std::to_string(kData) + R"(, %ebx
+  sti $0x77, 0(%ebx)
+  hlt
+)",
+                             kCode, {}, &diag);
+  ASSERT_TRUE(img.has_value()) << diag;
+  ASSERT_TRUE(k.WriteKernelVirt(kKernelBase + kCode, img->bytes.data(),
+                                static_cast<u32>(img->bytes.size())));
+
+  m.set_current_cpu(1);
+  Cpu& cpu = m.cpu(1);
+  cpu.LoadCr3(k.kernel_cr3());
+  cpu.ForceSegment(SegReg::kCs, kKernelCsSel);
+  cpu.ForceSegment(SegReg::kSs, kKernelDsSel);
+  cpu.ForceSegment(SegReg::kDs, kKernelDsSel);
+  cpu.ForceSegment(SegReg::kEs, kKernelDsSel);
+  cpu.set_cpl(0);
+  const auto run_store = [&cpu] {
+    cpu.set_eip(kCode);
+    cpu.set_reg(Reg::kEsp, kStackTop);
+    return cpu.Run(cpu.cycles() + 100'000);
+  };
+  ASSERT_EQ(run_store().reason, StopReason::kHalted);
+  u8 byte = 0;
+  ASSERT_TRUE(k.ReadKernelVirt(kKernelBase + kData, &byte, 1));
+  ASSERT_EQ(byte, 0x77u);
+
+  m.set_current_cpu(0);
+  ASSERT_TRUE(k.UnmapKernelPage(kKernelBase + kData));
+
+  m.set_current_cpu(1);
+  const StopInfo stop = run_store();
+  EXPECT_EQ(stop.reason, StopReason::kFault) << "vCPU 1 stored through a page vCPU 0 unmapped";
+  EXPECT_EQ(stop.fault.vector, FaultVector::kPageFault);
+  EXPECT_EQ(stop.fault.linear_address, kKernelBase + kData);
 }
 
 // --- Cross-CPU self-modifying code ---------------------------------------------

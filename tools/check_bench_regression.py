@@ -15,6 +15,9 @@ baseline that carries no rate or cost row (one with a tolerance) is
 refused: drop counters alone cannot tell a regression from the wrong file. Keys that only the fresh run
 carries are new telemetry (e.g. the federated "obs." registry counters):
 they are listed so the baseline refresh is a conscious step, not gated.
+Keys that only the baseline carries are listed in full, also as a note, so
+losing a counter is a visible step too. Neither list changes the exit
+status.
 """
 import collections
 import json
@@ -165,6 +168,10 @@ def main():
         more = f", ... ({len(fresh_only)} total)" if len(fresh_only) > 5 else ""
         print(f"note: {label}: {len(fresh_only)} fresh metrics have no committed "
               f"baseline yet (not gated): {', '.join(fresh_only[:5])}{more}")
+    lost = sorted(set(base_values) - set(fresh_values))
+    if lost:
+        print(f"note: {label}: {len(lost)} baseline metrics are missing from the fresh "
+              f"run (not gated): {', '.join(lost)}")
     return 1 if failed else 0
 
 
