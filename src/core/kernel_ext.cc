@@ -112,7 +112,21 @@ std::optional<u32> KernelExtensionManager::LoadExtension(const std::string& name
   LinkError lerr;
   auto img = LinkImage(obj, seg.link_bump, seg.symbols, &lerr);
   if (!img) return fail("link: " + lerr.message);
-  if (img->TotalSpan() + seg.link_bump > seg.stub_bump) {
+  // Every global text symbol becomes an extension service entry point with
+  // its own transfer stub.
+  const auto is_entry = [&img](const Symbol& sym) {
+    return sym.defined && sym.global && sym.section == SectionId::kText &&
+           img->Lookup(sym.name).has_value();
+  };
+  u32 stubs = 0;
+  for (const Symbol& sym : obj.symbols) stubs += is_entry(sym) ? 1 : 0;
+  // The segment's fixed layout: modules from offset 0 up to the stub page,
+  // stubs from there up to the stack floor, the stack at the top. Both
+  // bounds are checked before anything is written.
+  const u32 stack_floor = seg.span - kStackBytes;
+  const u32 stub_base = stack_floor - kPageSize;
+  if (u64{seg.link_bump} + img->TotalSpan() > stub_base ||
+      u64{seg.stub_bump} + u64{stubs} * kStubBytes > stack_floor) {
     return fail("module does not fit in extension segment");
   }
   if (!kernel_.WriteKernelVirt(seg.linear_base + seg.link_bump + (img->text_start - img->base),
@@ -129,7 +143,7 @@ std::optional<u32> KernelExtensionManager::LoadExtension(const std::string& name
     if (!addr) continue;
     seg.symbols[sym.name] = *addr;
     if (sym.name == "pd_shared") seg.shared_offset = *addr;
-    if (!sym.global || sym.section != SectionId::kText) continue;
+    if (!is_entry(sym)) continue;
     // Transfer stub: call f ; lcall kernel-return-gate.
     std::string stub_diag;
     auto stub = AssembleAndLink(KextTransferStubSource(*addr, kKernelReturnGateSel.raw()),
@@ -144,7 +158,7 @@ std::optional<u32> KernelExtensionManager::LoadExtension(const std::string& name
     entry.name = seg.name + ":" + sym.name;
     entry.transfer_offset = seg.stub_bump;
     eft_.push_back(std::move(entry));
-    seg.stub_bump += 2 * kInsnSize;
+    seg.stub_bump += kStubBytes;
   }
   ++loads_;
   return ext_id;

@@ -27,6 +27,9 @@ class KernelExtensionManager {
   // Every extension segment spans 1 MB, with one stack at its top (paper).
   static constexpr u32 kSegmentSpan = 1u << 20;
   static constexpr u32 kStackBytes = 16 * 1024;
+  // A transfer stub: `call f; lcall kernel-return-gate`. The page below the
+  // stack holds kPageSize / kStubBytes of them per segment.
+  static constexpr u32 kStubBytes = 2 * kInsnSize;
 
   struct InvokeResult {
     bool ok = false;

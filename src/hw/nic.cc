@@ -25,13 +25,16 @@ Nic::Nic(PhysicalMemory& pm, InterruptController& pic, u32 irq) : pm_(pm) {
 
 void Nic::SetQueueCount(u32 n) {
   n = std::max(1u, std::min(n, kNicMaxQueues));
-  const Queue wiring0 = queues_[0];
-  queues_.assign(n, Queue{});
+  InterruptController* const pic = queues_[0].pic;
+  const u32 rx_irq = queues_[0].rx_irq;
+  const u32 tx_irq = queues_[0].tx_irq;
+  queues_.clear();
+  queues_.resize(n);
   // Queue 0 keeps its wiring; fresh queues inherit it until WireQueue.
   for (Queue& q : queues_) {
-    q.pic = wiring0.pic;
-    q.rx_irq = wiring0.rx_irq;
-    q.tx_irq = wiring0.tx_irq;
+    q.pic = pic;
+    q.rx_irq = rx_irq;
+    q.tx_irq = tx_irq;
   }
 }
 
@@ -82,24 +85,31 @@ void Nic::Inject(const u8* frame, u32 len, u64 at_cycle) {
   last_arrival_ = at_cycle;
   const u32 q =
       queues_.size() > 1 ? RssHash(frame, len) % static_cast<u32>(queues_.size()) : 0;
-  Arrival a;
-  a.cycle = at_cycle;
-  a.frame.assign(frame, frame + len);
-  queues_[q].arrivals.push_back(std::move(a));
+  Queue& queue = queues_[q];
+  std::deque<ArrivalBlock>& blocks = queue.arrival_blocks;
+  if (blocks.empty() || blocks.back().bytes.capacity() - blocks.back().bytes.size() < len) {
+    blocks.emplace_back();
+    blocks.back().bytes.reserve(std::max(kArrivalBlockBytes, len));
+  }
+  ArrivalBlock& block = blocks.back();
+  const u8* bytes = block.bytes.data() + block.bytes.size();
+  block.bytes.insert(block.bytes.end(), frame, frame + len);  // within capacity: no move
+  ++block.pending;
+  queue.arrivals.push_back(Arrival{at_cycle, bytes, len});
   // Both hub attachments must see the new arrival: the whole-device view
   // (single-hub harnesses) and the per-queue device on the owning core.
   NotifyHub();
   queue_devices_[q].Poke();
 }
 
-bool Nic::DmaRxFrame(Queue& queue, const std::vector<u8>& frame) {
+bool Nic::DmaRxFrame(Queue& queue, const Arrival& arrival) {
   if (queue.rx.count == 0) return false;
   const u32 desc = queue.rx.desc_phys + queue.rx_head * kNicDescBytes;
   u32 status = 0, buf = 0;
   if (!pm_.Read32(desc + kNicDescStatus, &status) || status != kDescOwn) return false;
   if (!pm_.Read32(desc + kNicDescBuf, &buf)) return false;
-  const u32 len = std::min<u32>(static_cast<u32>(frame.size()), queue.rx.buf_stride);
-  if (!pm_.WriteBlock(buf, frame.data(), len)) return false;
+  const u32 len = std::min(arrival.len, queue.rx.buf_stride);
+  if (!pm_.WriteBlock(buf, arrival.bytes, len)) return false;
   pm_.Write32(desc + kNicDescLen, len);
   pm_.Write32(desc + kNicDescStatus, kDescDone);
   queue.rx_head = (queue.rx_head + 1) % queue.rx.count;
@@ -117,10 +127,14 @@ u32 Nic::CompleteOneTx(Queue& queue) {
     pm_.Read32(desc + kNicDescLen, &len);
     pm_.Read32(desc + kNicDescBuf, &buf);
     len = std::min(len, queue.tx.buf_stride);
-    std::vector<u8> frame(len);
-    if (pm_.ReadBlock(buf, frame.data(), len)) {
-      tx_log_.push_back(std::move(frame));
-      if (tx_log_.size() > kTxLogCap) tx_log_.pop_front();
+    tx_spare_.clear();  // grows, if it must, to exactly `len`
+    tx_spare_.resize(len);
+    if (pm_.ReadBlock(buf, tx_spare_.data(), len)) {
+      tx_log_.push_back(std::move(tx_spare_));
+      if (tx_log_.size() > kTxLogCap) {
+        tx_spare_ = std::move(tx_log_.front());
+        tx_log_.pop_front();
+      }
       ++stats_.tx_frames;
       stats_.tx_bytes += len;
       sent = len;
@@ -145,16 +159,16 @@ u64 Nic::QueueNextEvent(u32 q) const {
 void Nic::AdvanceQueue(u32 q, u64 now) {
   Queue& queue = queues_[q];
   while (!queue.arrivals.empty() && queue.arrivals.front().cycle <= now) {
-    const u64 at = queue.arrivals.front().cycle;
+    const Arrival& arrival = queue.arrivals.front();
+    const u64 at = arrival.cycle;
     // Oversize frames never land truncated-but-"complete": the wire drops
     // them (no jumbo support), the same as a ring with no free descriptor.
-    if (queue.arrivals.front().frame.size() > queue.rx.buf_stride) {
+    if (arrival.len > queue.rx.buf_stride) {
       ++stats_.rx_dropped;
-    } else if (DmaRxFrame(queue, queue.arrivals.front().frame)) {
+    } else if (DmaRxFrame(queue, arrival)) {
       if (recorder_ != nullptr) {
         recorder_->Record(obs_first_track_ + q, at, obs::EventType::kFrameDma,
-                          obs::EventClass::kArch, q,
-                          static_cast<u32>(queue.arrivals.front().frame.size()));
+                          obs::EventClass::kArch, q, arrival.len);
       }
       if (queue.rx_irq_enabled) {
         if (rx_irq_moderation_ == 0) {
@@ -180,6 +194,7 @@ void Nic::AdvanceQueue(u32 q, u64 now) {
       ++stats_.rx_dropped;
     }
     queue.arrivals.pop_front();
+    if (--queue.arrival_blocks.front().pending == 0) queue.arrival_blocks.pop_front();
   }
   if (queue.rx_irq_due != kIdle && queue.rx_irq_due <= now) {
     if (queue.rx_irq_enabled && queue.pic != nullptr) {

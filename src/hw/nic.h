@@ -90,6 +90,7 @@ class Nic : public IrqDevice {
   // Host harness: a frame arrives on the wire at `at_cycle` (clamped to be
   // non-decreasing so the arrival sequence is a valid timeline). With more
   // than one queue the frame lands on queue RssHash(frame) % num_queues.
+  // The bytes are copied into that queue's current arrival block.
   void Inject(const u8* frame, u32 len, u64 at_cycle);
 
   // The hardware RSS hash: FNV-1a over the 5-tuple fields present, finished
@@ -169,9 +170,23 @@ class Nic : public IrqDevice {
   static constexpr size_t kTxLogCap = 4096;
 
  private:
+  // Queued arrivals' bytes are packed into blocks of this size (a longer
+  // frame gets a block of its own). It stays under glibc's 128 KB mmap
+  // threshold, so blocks come from, and go back to, the heap.
+  static constexpr u32 kArrivalBlockBytes = 64 * 1024;
+
+  // A frame waiting for its wire cycle; `bytes` points into one of the
+  // queue's arrival blocks.
   struct Arrival {
     u64 cycle;
-    std::vector<u8> frame;
+    const u8* bytes;
+    u32 len;
+  };
+  // Reserved once and never grown past its capacity, so arrivals may point
+  // into it. Freed once its last arrival has been DMA'd or dropped.
+  struct ArrivalBlock {
+    std::vector<u8> bytes;
+    u32 pending = 0;  // arrivals still queued in this block
   };
 
   struct Queue {
@@ -188,6 +203,7 @@ class Nic : public IrqDevice {
     u64 rx_irq_due = IrqDevice::kIdle;  // armed moderation timer, if any
     u64 rx_irq_gate = 0;                // earliest cycle the next IRQ may fire
     std::deque<Arrival> arrivals;
+    std::deque<ArrivalBlock> arrival_blocks;  // in arrival order
     std::deque<u64> tx_complete_at;  // scheduled completions, in ring order
     u64 tx_last_scheduled = 0;       // serializes the DMA engine across kicks
     u64 rx_count = 0;                // frames DMA'd via this queue
@@ -211,7 +227,7 @@ class Nic : public IrqDevice {
 
   u64 QueueNextEvent(u32 q) const;
   void AdvanceQueue(u32 q, u64 now);
-  bool DmaRxFrame(Queue& queue, const std::vector<u8>& frame);
+  bool DmaRxFrame(Queue& queue, const Arrival& arrival);
   u32 CompleteOneTx(Queue& queue);  // returns the completed frame's length
 
   PhysicalMemory& pm_;
@@ -221,6 +237,7 @@ class Nic : public IrqDevice {
   u32 tx_dma_cycles_ = 64;  // per-descriptor DMA latency
   u32 rx_irq_moderation_ = 0;  // ITR window; 0 = interrupt per DMA
   std::deque<std::vector<u8>> tx_log_;  // completion order, most recent kTxLogCap
+  std::vector<u8> tx_spare_;  // the buffer tx_log_ evicted last, for the next frame
   Stats stats_;
   obs::FlightRecorder* recorder_ = nullptr;
   u32 obs_first_track_ = 0;

@@ -234,7 +234,7 @@ bool PacketDataplane::AllDestsSaturated(Process** blocker) {
   return true;
 }
 
-bool PacketDataplane::Deliver(FlowInfo& flow, const std::vector<u8>& frame) {
+bool PacketDataplane::Deliver(FlowInfo& flow, std::vector<u8>& frame) {
   Process* first_full = nullptr;
   // RSS steering anchors the probe sequence at the flow-hash slot so a wire
   // flow sticks to one worker; round-robin rotates the anchor every frame.
@@ -255,7 +255,7 @@ bool PacketDataplane::Deliver(FlowInfo& flow, const std::vector<u8>& frame) {
       if (first_full == nullptr) first_full = proc;
       continue;
     }
-    proc->pkt_queue.push_back(frame);
+    proc->pkt_queue.push_back(std::move(frame));
     ++proc->pkts_delivered;
     ++stats_.delivered;
     if (obs::FlightRecorder* rec = kernel_.recorder()) {
@@ -278,8 +278,8 @@ bool PacketDataplane::Deliver(FlowInfo& flow, const std::vector<u8>& frame) {
   return false;
 }
 
-void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
-  const u32 n = static_cast<u32>(frames.size());
+void PacketDataplane::ClassifyFrames() {
+  const u32 n = static_cast<u32>(rx_batch_.size());
   if (n == 0) return;
   // Backpressure: every live destination is already saturated, so every
   // frame in this batch would be dropped after classification anyway — skip
@@ -301,49 +301,45 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
   // earlier flow is never offered to a later one); only the crossings are
   // batched. Filters are pure functions of the staged frame, so flow-major
   // invocation order cannot change any verdict.
-  std::vector<i32> first_match(n, -1);
-  std::vector<u32> idxs;
+  first_match_.assign(n, -1);
   for (u32 fi = 0; fi < flows_.size(); ++fi) {
     FlowInfo& flow = flows_[fi];
     if (flow.dead) continue;
-    idxs.clear();
+    idxs_.clear();
     for (u32 i = 0; i < n; ++i) {
-      if (first_match[i] < 0) idxs.push_back(i);
+      if (first_match_[i] < 0) idxs_.push_back(i);
     }
-    if (idxs.empty()) break;
+    if (idxs_.empty()) break;
     u32 pos = 0;
-    while (pos < static_cast<u32>(idxs.size()) && !flow.dead) {
+    while (pos < static_cast<u32>(idxs_.size()) && !flow.dead) {
       const u32 chunk =
-          std::min<u32>(config_.filter_batch, static_cast<u32>(idxs.size()) - pos);
+          std::min<u32>(config_.filter_batch, static_cast<u32>(idxs_.size()) - pos);
       if (chunk == 1 || !flow.has_batch) {
         // Single-frame ABI — also the oracle path (filter_batch == 1).
-        const std::vector<u8>& frame = frames[idxs[pos]];
-        const u32 len = static_cast<u32>(frame.size());
-        if (!kext_.WriteShared(flow.ext_id, 0, &len, 4) ||
-            !kext_.WriteShared(flow.ext_id, 4, frame.data(), len)) {
+        const std::vector<u8>& frame = rx_batch_[idxs_[pos]];
+        if (!StageRecord(flow.ext_id, 0, frame)) {
           flow.dead = true;
           break;
         }
         ++stats_.filter_invocations;
         ++stats_.filter_frames;
-        auto r = kext_.Invoke(flow.function_id, len);
+        auto r = kext_.Invoke(flow.function_id, static_cast<u32>(frame.size()));
         if (!r.ok) {
           ++stats_.filter_aborts;
           flow.dead = true;  // aborted extensions stay dead; the flow is disabled
           break;
         }
-        if (r.value == 1) first_match[idxs[pos]] = static_cast<i32>(fi);
+        if (r.value == 1) first_match_[idxs_[pos]] = static_cast<i32>(fi);
         ++pos;
       } else {
         // Batched ABI: count at +0, [u32 len][bytes] records every
         // batch_stride bytes from +16; the filter returns a match bitmap.
+        // Each record is its own copy: records sit batch_stride apart, so
+        // one copy of the whole batch would move the gaps too.
         bool staged = kext_.WriteShared(flow.ext_id, 0, &chunk, 4);
         for (u32 j = 0; staged && j < chunk; ++j) {
-          const std::vector<u8>& frame = frames[idxs[pos + j]];
-          const u32 len = static_cast<u32>(frame.size());
-          const u32 base = kFilterBatchBase + j * flow.batch_stride;
-          staged = kext_.WriteShared(flow.ext_id, base, &len, 4) &&
-                   kext_.WriteShared(flow.ext_id, base + 4, frame.data(), len);
+          staged = StageRecord(flow.ext_id, kFilterBatchBase + j * flow.batch_stride,
+                               rx_batch_[idxs_[pos + j]]);
         }
         if (!staged) {
           flow.dead = true;
@@ -359,7 +355,7 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
           break;
         }
         for (u32 j = 0; j < chunk; ++j) {
-          if ((r.value >> j) & 1u) first_match[idxs[pos + j]] = static_cast<i32>(fi);
+          if ((r.value >> j) & 1u) first_match_[idxs_[pos + j]] = static_cast<i32>(fi);
         }
         pos += chunk;
       }
@@ -372,7 +368,7 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
   if (obs::FlightRecorder* rec = kernel_.recorder()) {
     u32 matched = 0;
     for (u32 i = 0; i < n; ++i) {
-      if (first_match[i] >= 0) ++matched;
+      if (first_match_[i] >= 0) ++matched;
     }
     rec->Record(kernel_.machine().current_cpu_index(),
                 kernel_.machine().cpu().cycles(), obs::EventType::kFrameClassify,
@@ -386,14 +382,14 @@ void PacketDataplane::ClassifyFrames(std::vector<std::vector<u8>>& frames) {
       if (blocker != nullptr) ++blocker->pkts_dropped;
       continue;
     }
-    if (first_match[i] < 0) {
+    if (first_match_[i] < 0) {
       ++stats_.dropped_no_match;
       continue;
     }
-    FlowInfo& flow = flows_[static_cast<u32>(first_match[i])];
+    FlowInfo& flow = flows_[static_cast<u32>(first_match_[i])];
     ++stats_.matched;
     ++flow.matched;
-    Deliver(flow, frames[i]);
+    Deliver(flow, rx_batch_[i]);
   }
 }
 
@@ -402,44 +398,67 @@ u32 PacketDataplane::QueueForCurrentCpu() const {
   return kernel_.machine().current_cpu_index() % config_.queues;
 }
 
-void PacketDataplane::CollectRx(u32 q, u32 budget, std::vector<std::vector<u8>>* out) {
+bool PacketDataplane::StageRecord(u32 ext_id, u32 offset, const std::vector<u8>& frame) {
+  const u32 len = static_cast<u32>(frame.size());
+  stage_.resize(4 + len);
+  std::memcpy(stage_.data(), &len, 4);
+  std::memcpy(stage_.data() + 4, frame.data(), len);
+  return kext_.WriteShared(ext_id, offset, stage_.data(), 4 + len);
+}
+
+void PacketDataplane::CollectRx(u32 q, u32 budget) {
+  for (std::vector<u8>& frame : rx_batch_) {
+    if (frame.capacity() > 0) spare_frames_.push_back(std::move(frame));
+  }
+  rx_batch_.clear();
   PhysicalMemory& pm = kernel_.machine().pm();
   const NicRing& ring = nic_.rx_ring(q);
   if (ring.count == 0) return;
-  while (static_cast<u32>(out->size()) < budget) {
+  while (static_cast<u32>(rx_batch_.size()) < budget) {
     const u32 desc = ring.desc_phys + rx_consume_[q] * kNicDescBytes;
     u32 status = 0, len = 0, buf = 0;
     if (!pm.Read32(desc + kNicDescStatus, &status) || status != kDescDone) break;
     pm.Read32(desc + kNicDescLen, &len);
     pm.Read32(desc + kNicDescBuf, &buf);
     len = std::min(len, ring.buf_stride);
-    std::vector<u8> frame(len);
+    rx_batch_.emplace_back();
+    std::vector<u8>& frame = rx_batch_.back();
+    if (!spare_frames_.empty()) {
+      frame.swap(spare_frames_.back());
+      spare_frames_.pop_back();
+    }
+    // Emptied first: an empty vector grows to exactly `len`, while one that
+    // still holds the last frame may grow to twice its size.
+    frame.clear();
+    frame.resize(len);
     pm.ReadBlock(buf, frame.data(), len);
     // Return the descriptor to the hardware before classifying so a burst
     // arriving mid-filter still finds room.
     pm.Write32(desc + kNicDescStatus, kDescOwn);
     rx_consume_[q] = (rx_consume_[q] + 1) % ring.count;
     ++stats_.rx_frames;
-    out->push_back(std::move(frame));
   }
+}
+
+void PacketDataplane::PopQueued(Process& proc) {
+  spare_frames_.push_back(std::move(proc.pkt_queue.front()));
+  proc.pkt_queue.pop_front();
 }
 
 void PacketDataplane::PollQueue(u32 q) {
   const u32 cpu = kernel_.machine().current_cpu_index();
-  std::vector<std::vector<u8>> batch;
   for (;;) {
-    batch.clear();
-    CollectRx(q, kNapiPollBudget, &batch);
-    if (batch.empty()) break;
+    CollectRx(q, kNapiPollBudget);
+    if (rx_batch_.empty()) break;
     ++stats_.napi_polls;
-    stats_.napi_frames += batch.size();
+    stats_.napi_frames += rx_batch_.size();
     kernel_.Charge(kernel_.costs().napi_poll +
-                   static_cast<u32>(batch.size()) * kernel_.costs().napi_per_frame);
+                   static_cast<u32>(rx_batch_.size()) * kernel_.costs().napi_per_frame);
     if (obs::FlightRecorder* rec = kernel_.recorder()) {
       rec->Record(cpu, kernel_.machine().cpu().cycles(), obs::EventType::kNapiPoll,
-                  obs::EventClass::kArch, q, static_cast<u32>(batch.size()));
+                  obs::EventClass::kArch, q, static_cast<u32>(rx_batch_.size()));
     }
-    ClassifyFrames(batch);
+    ClassifyFrames();
     // Let the wire catch up to the cycles classification consumed: frames
     // that arrived mid-poll DMA now (IRQ still masked) and are drained by
     // this same loop instead of raising fresh interrupts — the mechanism
@@ -459,12 +478,10 @@ void PacketDataplane::ServiceQueue(u32 q) {
   }
   // Legacy IRQ-per-frame drain (the oracle): one frame at a time, each
   // classified through a per-frame protected crossing.
-  std::vector<std::vector<u8>> one;
   for (;;) {
-    one.clear();
-    CollectRx(q, 1, &one);
-    if (one.empty()) break;
-    ClassifyFrames(one);
+    CollectRx(q, 1);
+    if (rx_batch_.empty()) break;
+    ClassifyFrames();
   }
 }
 
@@ -517,6 +534,11 @@ bool PacketDataplane::Transmit(const std::vector<u8>& frame) {
   return true;
 }
 
+bool PacketDataplane::TransmitUserFrame(Process& proc) {
+  if (!tx_hook_) return Transmit(tx_frame_);
+  return Transmit(tx_hook_(kernel_, proc, tx_frame_));
+}
+
 void PacketDataplane::SysPktRecv(u32 buf, u32 cap, u32 flags) {
   Process& proc = *kernel_.current();
   kernel_.Charge(kernel_.costs().pkt_syscall_base);
@@ -536,12 +558,12 @@ void PacketDataplane::SysPktRecv(u32 buf, u32 cap, u32 flags) {
   const std::vector<u8>& pkt = proc.pkt_queue.front();
   const u32 n = std::min(cap, static_cast<u32>(pkt.size()));
   if (!kernel_.CopyToUser(proc, buf, pkt.data(), n)) {
-    proc.pkt_queue.pop_front();
+    PopQueued(proc);
     kernel_.ReturnFromGate(kErrFault);
     return;
   }
   kernel_.Charge(n * kernel_.costs().pkt_copy_per_byte);
-  proc.pkt_queue.pop_front();
+  PopQueued(proc);
   if (obs::FlightRecorder* rec = kernel_.recorder()) {
     rec->Record(kernel_.machine().current_cpu_index(),
                 kernel_.machine().cpu().cycles(), obs::EventType::kFrameRecv,
@@ -557,14 +579,13 @@ void PacketDataplane::SysPktSend(u32 buf, u32 len) {
     kernel_.ReturnFromGate(kErrInval);
     return;
   }
-  std::vector<u8> frame(len);
-  if (!kernel_.CopyFromUser(proc, buf, frame.data(), len)) {
+  tx_frame_.resize(len);
+  if (!kernel_.CopyFromUser(proc, buf, tx_frame_.data(), len)) {
     kernel_.ReturnFromGate(kErrFault);
     return;
   }
   kernel_.Charge(len * kernel_.costs().pkt_copy_per_byte);
-  if (tx_hook_) frame = tx_hook_(kernel_, proc, frame);
-  if (!Transmit(frame)) {
+  if (!TransmitUserFrame(proc)) {
     kernel_.ReturnFromGate(kErrAgain);
     return;
   }
@@ -591,30 +612,30 @@ void PacketDataplane::SysPktRecvM(u32 buf, u32 cap, u32 flags) {
   // [u32 len][bytes] records (4-byte aligned), then copy out once: the
   // recvmmsg idea — the gate + dispatch + base cost is paid once per batch,
   // only the per-frame copy and a small header cost scale with frames.
-  std::vector<u8> out;
+  records_.clear();
   u32 frames = 0;
   while (!proc.pkt_queue.empty()) {
     const std::vector<u8>& pkt = proc.pkt_queue.front();
     const u32 len = static_cast<u32>(pkt.size());
     const u32 rec = 4 + ((len + 3) & ~3u);
-    if (static_cast<u32>(out.size()) + rec > cap) break;
-    const size_t at = out.size();
-    out.resize(at + rec, 0);
-    std::memcpy(out.data() + at, &len, 4);
-    std::memcpy(out.data() + at + 4, pkt.data(), len);
+    if (static_cast<u32>(records_.size()) + rec > cap) break;
+    const size_t at = records_.size();
+    records_.resize(at + rec, 0);
+    std::memcpy(records_.data() + at, &len, 4);
+    std::memcpy(records_.data() + at + 4, pkt.data(), len);
     kernel_.Charge(kernel_.costs().pkt_msg_overhead + len * kernel_.costs().pkt_copy_per_byte);
-    proc.pkt_queue.pop_front();
+    PopQueued(proc);
     ++frames;
   }
   if (frames == 0) {
     kernel_.ReturnFromGate(kErrInval);  // buffer too small for even one frame
     return;
   }
-  if (!kernel_.CopyToUser(proc, buf, out.data(), static_cast<u32>(out.size()))) {
+  if (!kernel_.CopyToUser(proc, buf, records_.data(), static_cast<u32>(records_.size()))) {
     kernel_.ReturnFromGate(kErrFault);
     return;
   }
-  kernel_.ReturnFromGate(static_cast<u32>(out.size()));
+  kernel_.ReturnFromGate(static_cast<u32>(records_.size()));
 }
 
 void PacketDataplane::SysPktSendM(u32 buf, u32 total) {
@@ -625,8 +646,8 @@ void PacketDataplane::SysPktSendM(u32 buf, u32 total) {
     kernel_.ReturnFromGate(kErrInval);
     return;
   }
-  std::vector<u8> data(total);
-  if (!kernel_.CopyFromUser(proc, buf, data.data(), total)) {
+  records_.resize(total);
+  if (!kernel_.CopyFromUser(proc, buf, records_.data(), total)) {
     kernel_.ReturnFromGate(kErrFault);
     return;
   }
@@ -635,7 +656,7 @@ void PacketDataplane::SysPktSendM(u32 buf, u32 total) {
   u32 sent = 0;
   while (off + 4 <= total) {
     u32 len = 0;
-    std::memcpy(&len, data.data() + off, 4);
+    std::memcpy(&len, records_.data() + off, 4);
     if (len == 0) break;  // zero header terminates a partially-used buffer
     if (len > stride_cap || off + 4 + len > total) {
       if (sent == 0) {
@@ -644,10 +665,9 @@ void PacketDataplane::SysPktSendM(u32 buf, u32 total) {
       }
       break;
     }
-    std::vector<u8> frame(data.begin() + off + 4, data.begin() + off + 4 + len);
+    tx_frame_.assign(records_.begin() + off + 4, records_.begin() + off + 4 + len);
     kernel_.Charge(kernel_.costs().pkt_msg_overhead + len * kernel_.costs().pkt_copy_per_byte);
-    if (tx_hook_) frame = tx_hook_(kernel_, proc, frame);
-    if (!Transmit(frame)) break;
+    if (!TransmitUserFrame(proc)) break;
     ++sent;
     off += 4 + ((len + 3) & ~3u);
   }

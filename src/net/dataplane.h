@@ -270,22 +270,33 @@ class PacketDataplane {
   void SysPktSend(u32 buf, u32 len);
   void SysPktRecvM(u32 buf, u32 cap, u32 flags);
   void SysPktSendM(u32 buf, u32 total);
+  // Transmits tx_frame_, which `proc` sent, through the tx hook if one is
+  // set. tx_frame_ keeps its buffer either way.
+  bool TransmitUserFrame(Process& proc);
   void OnTxComplete();
-  // Classifies `frames` (in arrival order) through the flows and delivers:
+  // Classifies rx_batch_ (in arrival order) through the flows and delivers:
   // match bits are computed flow-major with batched crossings where
   // available; delivery and drop accounting then run in strict frame order,
   // the same state machine as the per-frame oracle. Destination occupancy
   // is checked before the protected crossing: when every live destination
   // is saturated a frame drops pre-filter and the crossing counts as
-  // avoided (backpressure).
-  void ClassifyFrames(std::vector<std::vector<u8>>& frames);
+  // avoided (backpressure). A delivered frame's buffer moves to the process
+  // queue.
+  void ClassifyFrames();
+  // Writes one filter record, [u32 len][frame bytes], at `offset` in the
+  // extension's shared area with one copy.
+  bool StageRecord(u32 ext_id, u32 offset, const std::vector<u8>& frame);
   // True when every live destination of every live flow has a full queue
   // (then *blocker = the first full destination, for drop attribution).
   bool AllDestsSaturated(Process** blocker);
-  bool Deliver(FlowInfo& flow, const std::vector<u8>& frame);
-  // Pops up to `budget` DMA-completed frames off queue q's RX ring,
-  // returning the descriptors to the hardware.
-  void CollectRx(u32 q, u32 budget, std::vector<std::vector<u8>>* out);
+  // Queues `frame` on one of the flow's destinations; its buffer moves there.
+  bool Deliver(FlowInfo& flow, std::vector<u8>& frame);
+  // Refills rx_batch_ with up to `budget` DMA-completed frames off queue
+  // q's RX ring, returning the descriptors to the hardware. Buffers of the
+  // previous batch that no process queue took become spares first.
+  void CollectRx(u32 q, u32 budget);
+  // Drops the head of proc's packet queue, keeping its buffer as a spare.
+  void PopQueued(Process& proc);
   // NAPI poll loop for queue q: classify in batches, advancing the wire
   // between batches so frames arriving mid-poll are drained by this same
   // loop instead of raising fresh IRQs.
@@ -303,6 +314,16 @@ class PacketDataplane {
   TxHook tx_hook_;
   std::vector<u32> rx_consume_;  // per queue: next RX descriptor to inspect
   std::vector<u32> tx_produce_;  // per queue: next TX descriptor to fill
+  // Buffers reused from call to call, so the steady-state frame path does
+  // not allocate. A frame's buffer moves from rx_batch_ to a process queue
+  // and, once the worker has received it, to spare_frames_.
+  std::vector<std::vector<u8>> rx_batch_;
+  std::vector<std::vector<u8>> spare_frames_;
+  std::vector<i32> first_match_;  // ClassifyFrames: per frame, flow index or -1
+  std::vector<u32> idxs_;         // ClassifyFrames: frames still unmatched
+  std::vector<u8> stage_;         // StageRecord's record
+  std::vector<u8> tx_frame_;      // the frame pkt_send/pkt_sendm hand to Transmit
+  std::vector<u8> records_;       // pkt_recvm's and pkt_sendm's [u32 len][bytes] batch
   bool in_service_ = false;
   bool shutdown_ = false;
   u32 upgrade_seq_ = 0;  // versions UpgradeFlow kext names

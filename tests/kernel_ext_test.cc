@@ -602,5 +602,74 @@ TEST_F(KextFixture, FailedLinkIntoExistingSegmentKeepsIt) {
   EXPECT_EQ(kext_.unloads(), 0u);
 }
 
+// A module's transfer stubs fill the page below the extension stack, one
+// per export: 128 fit, and a 129th export would put stubs inside the stack.
+TEST_F(KextFixture, TooManyExportsForTheStubPageFailToLoad) {
+  const u32 fit = kPageSize / KernelExtensionManager::kStubBytes;
+  const auto exports = [](u32 n) {
+    std::string src;
+    for (u32 i = 0; i < n; ++i) {
+      src += "  .global f" + std::to_string(i) + "\nf" + std::to_string(i) + ":\n  mov $" +
+             std::to_string(i) + ", %eax\n  ret\n";
+    }
+    return src;
+  };
+  const u32 free_before = kernel_.frames().free_frames();
+  const u32 slots_before = DynamicGdtSlotsInUse();
+  const std::string diag = MustFail(exports(fit + 1));
+  EXPECT_NE(diag.find("module does not fit"), std::string::npos) << diag;
+  EXPECT_EQ(kernel_.frames().free_frames(), free_before);
+  EXPECT_EQ(DynamicGdtSlotsInUse(), slots_before);
+  EXPECT_EQ(kext_.loads(), 0u);
+
+  const u32 id = MustLoad("wide", exports(fit));
+  EXPECT_EQ(kext_.extension(id)->stub_bump,
+            KernelExtensionManager::kSegmentSpan - KernelExtensionManager::kStackBytes);
+  auto r = kext_.Invoke(Fn("wide:f" + std::to_string(fit - 1)), 0);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.value, fit - 1);
+}
+
+// A module loaded into a shared segment must end below the stub page, not
+// below the stubs allocated so far: one ending inside the first module's
+// stub would overwrite it. A module ending exactly at the stub page fits.
+TEST_F(KextFixture, ModuleIntoSharedSegmentMustEndBelowTheStubPage) {
+  const u32 seg = MustLoad("host", ".global get\nget:\n  mov $9, %eax\n  ret\n");
+  const u32 stub_base = KernelExtensionManager::kSegmentSpan -
+                        KernelExtensionManager::kStackBytes - kPageSize;
+  ASSERT_EQ(kext_.extension(seg)->stub_bump, stub_base + KernelExtensionManager::kStubBytes);
+  // A module whose zeroed .bss makes it end exactly at `end`.
+  const auto module_ending_at = [&](u32 end) {
+    const std::string text = ".global g\ng:\n  mov $7, %eax\n  ret\n  .bss\n";
+    AssembleError aerr;
+    auto probe = Assemble(AbiPrelude() + text, &aerr);
+    EXPECT_TRUE(probe.has_value()) << aerr.ToString();
+    const KernelExtensionManager::ExtensionState* st = kext_.extension(seg);
+    LinkError lerr;
+    auto img = LinkImage(*probe, st->link_bump, st->symbols, &lerr);
+    EXPECT_TRUE(img.has_value()) << lerr.message;
+    const u32 pad = end - st->link_bump - img->TotalSpan();
+    return text + "  .space " + std::to_string(pad) + "\n";
+  };
+  KextOptions opts;
+  opts.into_segment = seg;
+  const u32 free_before = kernel_.frames().free_frames();
+  const std::string diag = MustFail(module_ending_at(stub_base + 16), opts);
+  EXPECT_NE(diag.find("module does not fit"), std::string::npos) << diag;
+  EXPECT_EQ(kernel_.frames().free_frames(), free_before);
+  auto r = kext_.Invoke(Fn("host:get"), 0);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.value, 9u);
+
+  MustLoad("tail", module_ending_at(stub_base), opts);
+  r = kext_.Invoke(Fn("host:get"), 0);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.value, 9u);
+  r = kext_.Invoke(Fn("host:g"), 0);  // a shared segment names entries after itself
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.value, 7u);
+  EXPECT_EQ(kext_.loads(), 2u);
+}
+
 }  // namespace
 }  // namespace palladium

@@ -18,6 +18,13 @@ they are listed so the baseline refresh is a conscious step, not gated.
 Keys that only the baseline carries are listed in full, also as a note, so
 losing a counter is a visible step too. Neither list changes the exit
 status.
+
+For google-benchmark JSON it also prints, report-only, each sim_mips row
+normalized by BM_AssembleFilter from the same file: the row's sim_mips times
+BM_AssembleFilter's time in microseconds, i.e. the simulated instructions
+the engine retires in the host time of one filter assembly. BM_AssembleFilter
+runs host code only, so a host that is uniformly slower moves both and
+leaves the normalized row where it was.
 """
 import collections
 import json
@@ -54,8 +61,15 @@ GATES = (
 )
 
 
+NORMALIZER = "BM_AssembleFilter"
+TIME_UNIT_US = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
+
+
 def load(path):
-    """Returns (format, {name: value}, label) for one bench JSON file."""
+    """Returns (format, {name: value}, label) for one bench JSON file.
+
+    For google-benchmark JSON the values are each row's sim_mips, plus
+    NORMALIZER's real time in microseconds under its own name."""
     with open(path) as f:
         data = json.load(f)
     if isinstance(data, dict) and isinstance(data.get("metrics"), dict):
@@ -65,14 +79,41 @@ def load(path):
         # The SMP rows run with UseRealTime, which suffixes the name with
         # "/real_time"; strip it so suffix matching stays clock-agnostic.
         name = bench.get("name", "").replace("/real_time", "")
-        if "sim_mips" not in bench:
+        if name in (NORMALIZER, NORMALIZER + "_median"):
+            value = float(bench["real_time"]) * TIME_UNIT_US[bench.get("time_unit", "ns")]
+        elif "sim_mips" in bench:
+            value = float(bench["sim_mips"])
+        else:
             continue
         if name.endswith("_median"):
-            median[name[: -len("_median")]] = float(bench["sim_mips"])
+            median[name[: -len("_median")]] = value
         elif "_" in name:
-            plain[name] = float(bench["sim_mips"])
+            plain[name] = value
     plain.update(median)  # median aggregates win over per-repetition entries
     return "benchmarks", plain, path
+
+
+def normalized(values):
+    """{row: sim_mips x NORMALIZER's microseconds} for every sim_mips row
+    (spread aggregates such as _stddev are not rows)."""
+    asm_us = values.get(NORMALIZER)
+    if not asm_us:
+        return {}
+    return {name: v * asm_us for name, v in values.items()
+            if name != NORMALIZER and not name.endswith(("_mean", "_stddev", "_cv"))}
+
+
+def report_normalized(label, base_values, fresh_values):
+    """Prints each engine row normalized by NORMALIZER, baseline and fresh."""
+    base, fresh = normalized(base_values), normalized(fresh_values)
+    rows = sorted(set(base) & set(fresh))
+    if not rows:
+        return
+    print(f"note: {label}: sim_mips x {NORMALIZER} time (simulated instructions per "
+          f"assembly; report-only):")
+    for name in rows:
+        change = f" ({fresh[name] / base[name]:.2f}x)" if base[name] else ""
+        print(f"  {name}: baseline {base[name]:.6g} -> fresh {fresh[name]:.6g}{change}")
 
 
 def ratio(values, num, den):
@@ -172,6 +213,8 @@ def main():
     if lost:
         print(f"note: {label}: {len(lost)} baseline metrics are missing from the fresh "
               f"run (not gated): {', '.join(lost)}")
+    if base_fmt == "benchmarks":
+        report_normalized(label, base_values, fresh_values)
     return 1 if failed else 0
 
 
